@@ -13,8 +13,7 @@ from .data import (
 )
 from .errors import ContractError, LoadError, NumericalError
 from .evaluation import (
-    EvalReport, average_precision, emit_csv, emit_map_grid, evaluate,
-    relevance, welch_t_test,
+    EvalReport, average_precision, emit_csv, evaluate, welch_t_test,
 )
 from .gradcheck import run_suite
 from .hamming import (

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .errors import ContractError
 from .hamming import CodeMatrix, RetrievalIndex, distances_to_all
@@ -31,15 +31,6 @@ class EvalReport:
     per_query_ap: np.ndarray
     n_query: int
     n_db: int
-
-
-def relevance(query_labels: np.ndarray, db_labels: np.ndarray) -> int:
-    """1 when the two label vectors share an active label, else 0."""
-    a = np.asarray(query_labels).ravel()
-    b = np.asarray(db_labels).ravel()
-    if a.size != b.size:
-        raise ContractError(f"label vectors differ in length: {a.size} vs {b.size}")
-    return int(np.any(a.astype(bool) & b.astype(bool)))
 
 
 def average_precision(ranked_rel) -> float:
@@ -128,7 +119,7 @@ def welch_t_test(ap_a, ap_b):
     sa, sb = va / a.size, vb / b.size
     t = (a.mean() - b.mean()) / np.sqrt(sa + sb)
     dof = (sa + sb) ** 2 / (sa ** 2 / (a.size - 1) + sb ** 2 / (b.size - 1))
-    p = 2.0 * float(stats.t.sf(abs(t), dof))
+    p = 2.0 * float(stdtr(dof, -abs(t)))
     return float(t), p, int(p < ALPHA)
 
 
@@ -148,16 +139,5 @@ def emit_csv(report: EvalReport, path) -> Path:
     ]
     for k, prec in report.topk_curve:
         lines.append(f"{k},{prec!r}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def emit_map_grid(rows, path) -> Path:
-    """Write a method,task,r,map grid (one row per evaluated model)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["method,task,r,map"]
-    for method, task, r, val in rows:
-        lines.append(f"{method},{task},{int(r)},{float(val)!r}")
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -3,8 +3,9 @@
 Two families of checks, both against central differences of the actual
 objective:
 
-  feature gradients   the four closed-form formulas (image/text block, for
-                      each retrieval direction) on random states, swept
+  feature gradients   the closed-form gradient of the image block and of
+                      the text block (one shared formula, mirrored), for
+                      each retrieval direction, on random states swept
                       over on/off corners of the four objective weights;
   encoder chain       gradients pushed through forward/backward onto MLP
                       parameters, i.e. the whole train-step path.
@@ -116,31 +117,22 @@ def _check_feature_grads(state, sim, batch, hp, tag, tol, h,
         return objective_value(state, hp, sim, binary_codes=False)
 
     # FD loops mutate live column views of the state entry by entry
-    analytic = image_grad_fn(state, hp, sim, batch)
-    fd = np.zeros_like(analytic)
-    for pos, col in enumerate(batch):
-        fd[:, pos] = _fd_over(state.image_feats[:, col], eval_obj, h).ravel()
-    errs = _scaled_errors(analytic, fd)
-    k = np.unravel_index(np.argmax(errs), errs.shape)
-    out.append(CheckResult(
-        name=f"image-grad {tag}",
-        max_err=float(errs[k]),
-        worst_at=f"dF[{k[0]},{int(batch[k[1]])}]",
-        passed=float(errs[k]) < tol,
-    ))
-
-    analytic = text_grad_fn(state, hp, sim, batch)
-    fd = np.zeros_like(analytic)
-    for pos, col in enumerate(batch):
-        fd[:, pos] = _fd_over(state.text_feats[:, col], eval_obj, h).ravel()
-    errs = _scaled_errors(analytic, fd)
-    k = np.unravel_index(np.argmax(errs), errs.shape)
-    out.append(CheckResult(
-        name=f"text-grad {tag}",
-        max_err=float(errs[k]),
-        worst_at=f"dG[{k[0]},{int(batch[k[1]])}]",
-        passed=float(errs[k]) < tol,
-    ))
+    for modality, feats, symbol, grad_fn in (
+        ("image", state.image_feats, "dF", image_grad_fn),
+        ("text", state.text_feats, "dG", text_grad_fn),
+    ):
+        analytic = grad_fn(state, hp, sim, batch)
+        fd = np.zeros_like(analytic)
+        for pos, col in enumerate(batch):
+            fd[:, pos] = _fd_over(feats[:, col], eval_obj, h).ravel()
+        errs = _scaled_errors(analytic, fd)
+        k = np.unravel_index(np.argmax(errs), errs.shape)
+        out.append(CheckResult(
+            name=f"{modality}-grad {tag}",
+            max_err=float(errs[k]),
+            worst_at=f"{symbol}[{k[0]},{int(batch[k[1]])}]",
+            passed=float(errs[k]) < tol,
+        ))
     return out
 
 

@@ -117,18 +117,12 @@ def distances_to_all(packed_db: np.ndarray, query: np.ndarray) -> np.ndarray:
     return np.bitwise_count(packed_db ^ query[None, :]).sum(axis=1).astype(np.int64)
 
 
-def rank_all(packed_db: np.ndarray, query: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Positions of every database row sorted by (distance, id) ascending."""
-    dists = distances_to_all(packed_db, query)
-    return np.lexsort((ids, dists))
-
-
 def topk(db: "RetrievalIndex", query_packed: np.ndarray, k: int) -> np.ndarray:
     """Ids of the k nearest database items; ties broken by ascending id."""
     if not (1 <= k <= db.codes.n):
         raise ContractError(f"k must be in [1, {db.codes.n}], got {k}")
-    order = rank_all(db.codes.packed, query_packed, db.ids)
-    return db.ids[order[:k]]
+    dists = distances_to_all(db.codes.packed, query_packed)
+    return db.ids[np.lexsort((db.ids, dists))[:k]]
 
 
 @dataclass(frozen=True)
@@ -175,6 +169,9 @@ def encode_database(model, ds, split, reencode_train: bool = False) -> Retrieval
     hashed with the database-side encoder (text for i2t, image for t2i).
     reencode_train=True hashes every item fresh instead.
     """
+    if model.codes.n != len(split.train_ids):
+        raise ContractError(f"model was trained on {model.codes.n} items but the "
+                            f"split has {len(split.train_ids)} train items")
     db_ids = np.asarray(split.retrieval_ids, dtype=np.int64)
     if model.task == "i2t":
         enc, feats = model.text_encoder, ds.text_features

@@ -27,19 +27,6 @@ def check_finite(a: np.ndarray, name: str = "array") -> None:
         raise NumericalError(f"{name} contains a non-finite entry (flat index {bad})")
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with conformance and output-finiteness checks."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ContractError(
-            f"matmul shape mismatch: ({a.shape[0]}x{a.shape[1]}) @ ({b.shape[0]}x{b.shape[1]})"
-        )
-    out = a @ b
-    check_finite(out, "matmul result")
-    return out
-
-
 def row_sums(m) -> np.ndarray:
     """Sum over columns, one value per row."""
     m = as_matrix(m, "row_sums input")

@@ -132,8 +132,13 @@ def _label_fit(state: ObjectiveState) -> np.ndarray:
 
 
 def objective_value(state: ObjectiveState, hp: HyperParams,
-                    sim: PairwiseSimilarity, binary_codes: bool = True) -> float:
-    """Full objective for the direction named by hp.task."""
+                    sim: PairwiseSimilarity, binary_codes: bool = True,
+                    label_target: np.ndarray | None = None) -> float:
+    """Full objective for the direction named by hp.task.
+
+    The label term regresses label_target onto the labels. It defaults to
+    the query-side embedding block; the v1 trainer variant passes the codes.
+    """
     hp.validate()
     check_state(state, binary_codes=binary_codes)
     f, g, b = state.image_feats, state.text_feats, state.codes
@@ -141,8 +146,9 @@ def objective_value(state: ObjectiveState, hp: HyperParams,
     total += hp.quant_image * float(((b - f) ** 2).sum())
     total += hp.quant_text * float(((b - g) ** 2).sum())
     if hp.label_weight > 0:
-        target = f if hp.task == "i2t" else g
-        total += hp.label_weight * float(((target - _label_fit(state)) ** 2).sum())
+        if label_target is None:
+            label_target = f if hp.task == "i2t" else g
+        total += hp.label_weight * float(((label_target - _label_fit(state)) ** 2).sum())
     total += hp.balance_weight * (
         float((row_sums(f) ** 2).sum())
         + float((row_sums(g) ** 2).sum())
@@ -153,28 +159,41 @@ def objective_value(state: ObjectiveState, hp: HyperParams,
     return total
 
 
-def _pairwise_grad_image(state, sim, batch, n):
-    """Likelihood gradient wrt the batch columns of the image block."""
-    f, g = state.image_feats, state.text_feats
-    out = np.zeros((f.shape[0], batch.size))
+def _pairwise_grad(own, other, sim, batch):
+    """Likelihood gradient wrt the batch columns of the `own` block.
+
+    Label overlap is symmetric, so one formula serves both modalities: the
+    text-block gradient is the image-block one with the blocks swapped.
+    """
+    n = own.shape[1]
+    out = np.zeros((own.shape[0], batch.size))
     for j0 in range(0, n, _CHUNK):
         cols = np.arange(j0, min(j0 + _CHUNK, n))
-        phi = 0.5 * f[:, batch].T @ g[:, cols]
+        phi = 0.5 * own[:, batch].T @ other[:, cols]
         s = sim.block(batch, cols)
-        out += 0.5 * g[:, cols] @ (sigmoid(phi) - s).T
+        out += 0.5 * other[:, cols] @ (sigmoid(phi) - s).T
     return out
 
 
-def _pairwise_grad_text(state, sim, batch, n):
-    """Likelihood gradient wrt the batch columns of the text block."""
-    f, g = state.image_feats, state.text_feats
-    out = np.zeros((g.shape[0], batch.size))
-    for i0 in range(0, n, _CHUNK):
-        rows = np.arange(i0, min(i0 + _CHUNK, n))
-        phi = 0.5 * f[:, rows].T @ g[:, batch]
-        s = sim.block(rows, batch)
-        out += 0.5 * f[:, rows] @ (sigmoid(phi) - s)
-    return out
+def _feature_grad(state, hp, sim, batch, side: str) -> np.ndarray:
+    hp.validate()
+    check_state(state, binary_codes=False)
+    own, other = state.image_feats, state.text_feats
+    quant, query_task = hp.quant_image, "i2t"
+    if side == "text":
+        own, other = other, own
+        quant, query_task = hp.quant_text, "t2i"
+    n = own.shape[1]
+    batch = _as_batch(batch, n)
+    if sim.n != n:
+        raise ContractError(f"similarity oracle covers {sim.n} instances, state {n}")
+    grad = _pairwise_grad(own, other, sim, batch)
+    grad += 2.0 * quant * (own[:, batch] - state.codes[:, batch])
+    if hp.label_weight > 0 and hp.task == query_task:
+        grad += 2.0 * hp.label_weight * (own[:, batch] - _label_fit(state)[:, batch])
+    grad += 2.0 * hp.balance_weight * row_sums(own)[:, None]
+    _check_grad(grad)
+    return grad
 
 
 def image_feature_grad(state: ObjectiveState, hp: HyperParams,
@@ -186,39 +205,14 @@ def image_feature_grad(state: ObjectiveState, hp: HyperParams,
     i2t direction; the balance term contributes the same row-sum vector to
     every column.
     """
-    hp.validate()
-    check_state(state, binary_codes=False)
-    batch = _as_batch(batch, state.image_feats.shape[1])
-    n = state.image_feats.shape[1]
-    if sim.n != n:
-        raise ContractError(f"similarity oracle covers {sim.n} instances, state {n}")
-    f, b = state.image_feats, state.codes
-    grad = _pairwise_grad_image(state, sim, batch, n)
-    grad += 2.0 * hp.quant_image * (f[:, batch] - b[:, batch])
-    if hp.label_weight > 0 and hp.task == "i2t":
-        grad += 2.0 * hp.label_weight * (f[:, batch] - _label_fit(state)[:, batch])
-    grad += 2.0 * hp.balance_weight * row_sums(f)[:, None]
-    _check_grad(grad)
-    return grad
+    return _feature_grad(state, hp, sim, batch, "image")
 
 
 def text_feature_grad(state: ObjectiveState, hp: HyperParams,
                       sim: PairwiseSimilarity, batch: np.ndarray) -> np.ndarray:
-    """Exact objective gradient wrt the chosen text-embedding columns."""
-    hp.validate()
-    check_state(state, binary_codes=False)
-    batch = _as_batch(batch, state.text_feats.shape[1])
-    n = state.text_feats.shape[1]
-    if sim.n != n:
-        raise ContractError(f"similarity oracle covers {sim.n} instances, state {n}")
-    g, b = state.text_feats, state.codes
-    grad = _pairwise_grad_text(state, sim, batch, n)
-    grad += 2.0 * hp.quant_text * (g[:, batch] - b[:, batch])
-    if hp.label_weight > 0 and hp.task == "t2i":
-        grad += 2.0 * hp.label_weight * (g[:, batch] - _label_fit(state)[:, batch])
-    grad += 2.0 * hp.balance_weight * row_sums(g)[:, None]
-    _check_grad(grad)
-    return grad
+    """Exact objective gradient wrt the chosen text-embedding columns; the
+    mirror image of image_feature_grad, with the label term for t2i."""
+    return _feature_grad(state, hp, sim, batch, "text")
 
 
 def _as_batch(batch, n: int) -> np.ndarray:

@@ -39,7 +39,7 @@ from .mlp import (
 )
 from .objective import (
     HyperParams, ObjectiveState, TASKS, image_feature_grad, objective_value,
-    pairwise_nll, text_feature_grad,
+    text_feature_grad,
 )
 
 VARIANTS = ("full", "v1", "v2", "v3")
@@ -179,25 +179,11 @@ def _batches(rng: np.random.Generator, n: int, batch_size: int):
     return [order[s : s + batch_size] for s in range(0, n, batch_size)]
 
 
-def _variant_objective(variant: str, state: ObjectiveState, hp: HyperParams,
-                       sim: PairwiseSimilarity) -> float:
-    if variant == "v1":
-        # regression runs codes-onto-labels; embeddings carry no label term
-        total = pairwise_nll(state.image_feats, state.text_feats, sim)
-        total += hp.quant_image * float(((state.codes - state.image_feats) ** 2).sum())
-        total += hp.quant_text * float(((state.codes - state.text_feats) ** 2).sum())
-        if hp.label_weight > 0:
-            resid = state.codes - state.proj @ state.labels
-            total += hp.label_weight * float((resid ** 2).sum())
-        total += hp.balance_weight * (
-            float((state.image_feats.sum(axis=1) ** 2).sum())
-            + float((state.text_feats.sum(axis=1) ** 2).sum())
-            + float((state.proj ** 2).sum())
-        )
-        if not np.isfinite(total):
-            raise NumericalError(f"objective is non-finite: {total}")
-        return total
-    return objective_value(state, hp, sim, binary_codes=(variant != "v3"))
+def _relaxed_codes(img_feats: np.ndarray, txt_feats: np.ndarray,
+                  hp: HyperParams) -> np.ndarray:
+    """The v3 code block: the quantization-weighted mean of F and G."""
+    return ((hp.quant_image * img_feats + hp.quant_text * txt_feats)
+            / (hp.quant_image + hp.quant_text))
 
 
 def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
@@ -212,8 +198,6 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
     hp.validate()
     ds.validate()
     split.validate(ds.n)
-    if hp.task not in TASKS:
-        raise ContractError(f"hp.task must be one of {TASKS}")
 
     train_ids = np.asarray(split.train_ids, dtype=np.int64)
     n = train_ids.size
@@ -236,10 +220,9 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
     uses_proj = hp.label_weight > 0
     code_rng = np.random.default_rng(cfg.seed + 3)
     if cfg.variant == "v3":
-        denom = hp.quant_image + hp.quant_text
-        if denom <= 0:
+        if hp.quant_image + hp.quant_text <= 0:
             raise ContractError("v3 needs quant_image + quant_text > 0")
-        codes = (hp.quant_image * feats_img + hp.quant_text * feats_txt) / denom
+        codes = _relaxed_codes(feats_img, feats_txt, hp)
     else:
         codes = (code_rng.integers(0, 2, size=(r, n)) * 2 - 1).astype(np.float64)
     proj_rng = np.random.default_rng(cfg.seed + 4)
@@ -260,64 +243,60 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
         except NumericalError as exc:
             raise NumericalError(f"epoch {epoch}, {step}: {exc}") from exc
 
+    def sweep(step, epoch, enc, inputs, feats, grad_fn, lr):
+        """One mini-batch pass over one encoder, then a full refresh of its
+        embedding block (updated in place)."""
+        for batch in _batches(batch_rng, n, batch_size):
+            out, tape = guarded(step, epoch, forward, enc, inputs[batch])
+            feats[:, batch] = out
+            g = guarded(step, epoch, grad_fn, state, hp_sweep, sim, batch)
+            grads, _ = backward(enc, tape, g)
+            enc = guarded(step, epoch, sgd_step, enc, grads, lr)
+        out, _ = guarded(step, epoch, forward, enc, inputs)
+        feats[:] = out
+        return enc
+
+    def label_target():
+        # v1 regresses the codes; the others the query-side embedding block
+        if cfg.variant == "v1":
+            return state.codes
+        return state.image_feats if hp.task == "i2t" else state.text_feats
+
+    def objective(epoch):
+        return guarded("objective", epoch, objective_value, state, hp, sim,
+                       cfg.variant != "v3", label_target())
+
     for epoch in range(1, cfg.epochs + 1):
         tic = time.perf_counter()
 
-        for batch in _batches(batch_rng, n, batch_size):
-            out, tape = guarded("image sweep", epoch, forward, img_enc, x[batch])
-            state.image_feats[:, batch] = out
-            g = guarded("image sweep", epoch, image_feature_grad, state, hp_sweep, sim, batch)
-            grads, _ = backward(img_enc, tape, g)
-            img_enc = guarded("image sweep", epoch, sgd_step, img_enc, grads, cfg.lr_image)
-        out, _ = guarded("image sweep", epoch, forward, img_enc, x)
-        state.image_feats[:] = out
-
-        for batch in _batches(batch_rng, n, batch_size):
-            out, tape = guarded("text sweep", epoch, forward, txt_enc, y[batch])
-            state.text_feats[:, batch] = out
-            g = guarded("text sweep", epoch, text_feature_grad, state, hp_sweep, sim, batch)
-            grads, _ = backward(txt_enc, tape, g)
-            txt_enc = guarded("text sweep", epoch, sgd_step, txt_enc, grads, cfg.lr_text)
-        out, _ = guarded("text sweep", epoch, forward, txt_enc, y)
-        state.text_feats[:] = out
+        img_enc = sweep("image sweep", epoch, img_enc, x, state.image_feats,
+                        image_feature_grad, cfg.lr_image)
+        txt_enc = sweep("text sweep", epoch, txt_enc, y, state.text_feats,
+                        text_feature_grad, cfg.lr_text)
 
         if cfg.track_substeps:
-            after_sweeps = guarded(
-                "objective", epoch, _variant_objective, cfg.variant, state, hp, sim
-            )
+            after_sweeps = objective(epoch)
 
         if cfg.variant == "v3":
-            denom = hp.quant_image + hp.quant_text
-            state.codes = (hp.quant_image * state.image_feats
-                           + hp.quant_text * state.text_feats) / denom
-        elif cfg.variant == "v1":
-            shift = hp.label_weight * (state.proj @ state.labels) if uses_proj else None
+            state.codes = _relaxed_codes(state.image_feats, state.text_feats, hp)
+        else:
+            shift = (hp.label_weight * (state.proj @ state.labels)
+                     if cfg.variant == "v1" else None)
             state.codes = guarded(
                 "code update", epoch, update_codes,
                 state.image_feats, state.text_feats, hp, shift,
             ).signs.astype(np.float64)
-        else:
-            state.codes = guarded(
-                "code update", epoch, update_codes,
-                state.image_feats, state.text_feats, hp,
-            ).signs.astype(np.float64)
 
         if cfg.track_substeps:
-            after_codes = guarded(
-                "objective", epoch, _variant_objective, cfg.variant, state, hp, sim
-            )
+            after_codes = objective(epoch)
 
         if uses_proj:
-            if cfg.variant == "v1":
-                target = state.codes
-            else:
-                target = state.image_feats if hp.task == "i2t" else state.text_feats
             state.proj = guarded(
                 "projection update", epoch, update_projection,
-                target, lab, hp.label_weight, hp.balance_weight,
+                label_target(), lab, hp.label_weight, hp.balance_weight,
             )
 
-        obj = guarded("objective", epoch, _variant_objective, cfg.variant, state, hp, sim)
+        obj = objective(epoch)
         if cfg.track_substeps:
             substeps.append(SubstepRow(epoch, after_sweeps, after_codes, obj))
         log.append(TrainLogRow(epoch, obj, time.perf_counter() - tic))

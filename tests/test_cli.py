@@ -248,6 +248,30 @@ def test_eval_mismatched_model_and_data_fails_cleanly(model_dir, tmp_path, capsy
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["encode", "eval", "retrieve"])
+def test_model_on_a_split_with_another_train_size_fails_cleanly(
+        command, model_dir, tmp_path, capsys):
+    # the model's code block covers 40 train items; a split with more (which
+    # used to index past the code block) or fewer must be refused the same way
+    model = str(model_dir / "i2t.model")
+    for n_train in (30, 50):
+        other = tmp_path / f"train{n_train}"
+        assert main(["synth", "--out", str(other), "--n", "60", "--dx", "8",
+                     "--dy", "12", "--c", "3", "--seed", "7",
+                     "--n-query", "10", "--n-train", str(n_train)]) == 0
+        out = tmp_path / f"{command}{n_train}"
+        extra = {
+            "encode": ["--out-dir", str(out)],
+            "eval": ["--out", str(out)],
+            "retrieve": ["--k", "5", "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--model", model, "--data", str(other), *extra]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "trained on 40 items" in err[0]
+
+
 # --- gradcheck -------------------------------------------------------------------
 
 def test_gradcheck_passes_and_is_deterministic(capsys):

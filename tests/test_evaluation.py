@@ -8,9 +8,7 @@ from xmhash.errors import ContractError
 from xmhash.evaluation import (
     average_precision,
     emit_csv,
-    emit_map_grid,
     evaluate,
-    relevance,
     welch_t_test,
 )
 from xmhash.hamming import CodeMatrix, RetrievalIndex, pack_signs
@@ -65,19 +63,6 @@ def evaluate_oracle(index, query_codes, query_labels, ks):
         for k in ks:
             prec[k] += sum(rel[:k]) / k
     return float(np.mean(aps)), {k: prec[k] / n_q for k in ks}, aps
-
-
-# --- relevance ----------------------------------------------------------------
-
-def test_relevance_examples():
-    assert relevance([1, 0, 1], [0, 0, 1]) == 1
-    assert relevance([1, 0, 0], [0, 1, 1]) == 0
-    assert relevance([0, 0], [0, 0]) == 0
-
-
-def test_relevance_rejects_length_mismatch():
-    with pytest.raises(ContractError, match="length"):
-        relevance([1, 0], [1, 0, 1])
 
 
 # --- average precision ----------------------------------------------------------
@@ -330,10 +315,3 @@ def test_emit_csv_empty_ks_writes_headers_only(tmp_path):
     assert len(lines) == 2
     assert lines[1] == "k,precision"
 
-
-def test_emit_map_grid(tmp_path):
-    rows = [("ours", "i2t", 16, 0.75), ("baseline", "t2i", 32, 0.5)]
-    lines = emit_map_grid(rows, tmp_path / "grid.csv").read_text().splitlines()
-    assert lines[0] == "method,task,r,map"
-    assert lines[1] == "ours,i2t,16,0.75"
-    assert lines[2] == "baseline,t2i,32,0.5"

@@ -4,19 +4,7 @@ import numpy as np
 import pytest
 
 from xmhash.errors import ContractError, NumericalError
-from xmhash.linalg import cholesky_lower, matmul, row_sums, spd_solve
-
-
-def matmul_oracle(a, b):
-    """Triple-loop definitional matrix product."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
+from xmhash.linalg import cholesky_lower, row_sums, spd_solve
 
 
 def row_sums_oracle(m):
@@ -27,59 +15,6 @@ def row_sums_oracle(m):
         for j in range(m.shape[1]):
             out[i] += m[i, j]
     return out
-
-
-def test_matmul_identity_fixes_any_matrix():
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((2, 2))
-    assert np.array_equal(matmul(np.eye(2), m), m)
-
-
-def test_matmul_hand_value():
-    out = matmul([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]])
-    assert np.array_equal(out, [[17.0], [39.0]])
-
-
-def test_matmul_matches_triple_loop_oracle():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((7, 5))
-    b = rng.standard_normal((5, 3))
-    assert np.allclose(matmul(a, b), matmul_oracle(a, b), rtol=0, atol=1e-12)
-
-
-def test_matmul_shape_mismatch_rejected():
-    with pytest.raises(ContractError, match="shape mismatch"):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-def test_matmul_non_finite_input_rejected():
-    bad = np.array([[1.0, np.nan], [0.0, 1.0]])
-    with pytest.raises(NumericalError, match="non-finite"):
-        matmul(bad, np.eye(2))
-
-
-def test_matmul_non_matrix_input_rejected():
-    with pytest.raises(ContractError, match="2-D"):
-        matmul(np.zeros(3), np.zeros((3, 2)))
-
-
-def test_matmul_associative_within_tolerance():
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        a = rng.standard_normal((4, 6))
-        b = rng.standard_normal((6, 3))
-        c = rng.standard_normal((3, 5))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.max(np.abs(left - right)) <= 1e-9 * max(1.0, np.max(np.abs(left)))
-
-
-def test_matmul_does_not_mutate_inputs():
-    a = np.ones((2, 2))
-    b = np.full((2, 2), 2.0)
-    a_copy, b_copy = a.copy(), b.copy()
-    matmul(a, b)
-    assert np.array_equal(a, a_copy) and np.array_equal(b, b_copy)
 
 
 def test_row_sums_hand_value():

@@ -1,5 +1,6 @@
 """Objective assembly and analytic gradients against definitional oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -34,15 +35,20 @@ def nll_oracle(f, g, sim):
     return total
 
 
-def objective_oracle(state, hp, sim):
-    """Term-by-term re-assembly of the objective from its definition."""
+def objective_oracle(state, hp, sim, label_side=None):
+    """Term-by-term re-assembly of the objective from its definition.
+
+    label_side is the block the label term regresses onto the labels: the
+    query-side embedding block by default, the codes for the v1 variant.
+    """
     f, g, b, p, lab = (state.image_feats, state.text_feats, state.codes,
                        state.proj, state.labels)
+    if label_side is None:
+        label_side = f if hp.task == "i2t" else g
     total = nll_oracle(f, g, sim)
     total += hp.quant_image * float(((b - f) ** 2).sum())
     total += hp.quant_text * float(((b - g) ** 2).sum())
-    side = f if hp.task == "i2t" else g
-    total += hp.label_weight * float(((side - p @ lab) ** 2).sum())
+    total += hp.label_weight * float(((label_side - p @ lab) ** 2).sum())
     total += hp.balance_weight * (
         float((f.sum(axis=1) ** 2).sum())
         + float((g.sum(axis=1) ** 2).sum())
@@ -172,6 +178,16 @@ def test_objective_matches_term_oracle(task):
     )
 
 
+@pytest.mark.parametrize("task", ["i2t", "t2i"])
+def test_objective_code_label_target_matches_v1_oracle(task):
+    state, sim = random_state(12, r=3, n=6, c=3)
+    hp = HyperParams(0.7, 0.2, 0.05, 0.3, task=task)
+    got = objective_value(state, hp, sim, label_target=state.codes)
+    assert got == pytest.approx(objective_oracle(state, hp, sim, state.codes), abs=1e-10)
+    # the codes target is a different term than the default embedding target
+    assert got != pytest.approx(objective_value(state, hp, sim), abs=1e-6)
+
+
 def test_objective_swapping_blocks_and_weights_is_symmetric():
     # with label and balance terms off, the objective treats (image, quant_image)
     # and (text, quant_text) symmetrically because label overlap is symmetric
@@ -267,6 +283,25 @@ def test_feature_grads_match_finite_differences(task):
         numeric = fd_feature_grad(state, hp, sim, batch, which)
         scale = np.maximum(1.0, np.abs(numeric))
         assert np.max(np.abs(analytic - numeric) / scale) < 1e-5
+
+
+def test_text_grad_is_image_grad_on_the_swapped_state():
+    # label overlap is symmetric, so the text-block gradient of a state is
+    # the image-block gradient of the state with the blocks, their
+    # quantization weights and the direction all swapped
+    state, sim = random_state(13, r=3, n=6, c=3)
+    swapped = ObjectiveState(
+        image_feats=state.text_feats.copy(),
+        text_feats=state.image_feats.copy(),
+        codes=state.codes.copy(),
+        proj=state.proj.copy(),
+        labels=state.labels.copy(),
+    )
+    batch = np.array([1, 3, 4])
+    for qi, qt, lw, bw in itertools.product((0.0, 0.1), repeat=4):
+        image = image_feature_grad(state, HyperParams(qi, qt, lw, bw, task="i2t"), sim, batch)
+        text = text_feature_grad(swapped, HyperParams(qt, qi, lw, bw, task="t2i"), sim, batch)
+        np.testing.assert_allclose(text, image, rtol=1e-12, atol=0)
 
 
 def test_label_term_applies_only_to_query_side():
