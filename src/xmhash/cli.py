@@ -1,13 +1,14 @@
 """Command-line pipeline: synth / train / encode / retrieve / eval / gradcheck.
 
 Exit codes: 0 success, 1 runtime failure (bad data, numerical breakdown,
-unreadable files), 2 usage errors (argparse rejects the flags before any
-work starts). All flag validation happens at parse time.
+unreadable files, outputs that cannot be written, a closed stdout pipe),
+2 usage errors (argparse rejects the flags before any work starts). All
+flag validation happens at parse time.
 """
 
 import argparse
+import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -164,11 +165,13 @@ def cmd_retrieve(args) -> int:
     if not (1 <= args.k <= index.codes.n):
         raise ContractError(f"k must lie in [1, {index.codes.n}], got {args.k}")
     lines = ["query_id,rank,db_id,distance"]
-    for q, qid in enumerate(split.query_ids):
-        dists = H.distances_to_all(index.codes.packed, queries.packed[q])
-        order = np.lexsort((index.ids, dists))[: args.k]
-        for rank, pos in enumerate(order, start=1):
-            lines.append(f"{int(qid)},{rank},{int(index.ids[pos])},{int(dists[pos])}")
+    for rows, order, dists in H.ranked(index, queries.packed):
+        top = order[:, : args.k]
+        hit_ids = index.ids[top].tolist()
+        hit_dists = np.take_along_axis(dists, top, axis=1).tolist()
+        for qid, ids, ds in zip(split.query_ids[rows].tolist(), hit_ids, hit_dists):
+            lines.extend(f"{qid},{rank},{i},{d}"
+                         for rank, (i, d) in enumerate(zip(ids, ds), start=1))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n")
@@ -303,10 +306,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ContractError, NumericalError, LoadError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except (ContractError, NumericalError, LoadError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            _drop_stdout()
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _drop_stdout() -> None:
+    """Point stdout at the null device, so the flush at exit cannot fail
+    on a reader that has gone away."""
+    try:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except (OSError, ValueError, AttributeError):
+        pass
 
 
 if __name__ == "__main__":

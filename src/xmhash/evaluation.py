@@ -1,10 +1,10 @@
 """Retrieval metrics over Hamming rankings, CSV emission, and a Welch test.
 
 A query's ranking is the whole database sorted by (Hamming distance,
-database id) ascending. Relevance is label overlap, the same rule the
-trainer's similarity oracle uses. Average precision of a query with no
-relevant database item is defined as 0 and the query still counts in the
-mean.
+database id) ascending, as hamming.ranked produces it a tile of queries at
+a time. Relevance is label overlap, the same rule the trainer's similarity
+oracle uses. Average precision of a query with no relevant database item
+is defined as 0 and the query still counts in the mean.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import stdtr
 
 from .errors import ContractError
-from .hamming import CodeMatrix, RetrievalIndex, distances_to_all
+from .hamming import CodeMatrix, RetrievalIndex, ranked
 
 # two-sample significance is a Welch (unequal-variance) t-test; the choice
 # is stamped into every report header
@@ -40,12 +40,15 @@ def average_precision(ranked_rel) -> float:
         raise ContractError("ranking is empty")
     if not np.isin(rel, (0.0, 1.0)).all():
         raise ContractError("relevance entries must be 0 or 1")
-    cum = np.cumsum(rel)
+    return _ap(rel > 0, np.cumsum(rel))
+
+
+def _ap(hits: np.ndarray, cum: np.ndarray) -> float:
+    """AP from a ranked hit mask and its running float hit count."""
     total = cum[-1]
     if total == 0:
         return 0.0
-    precision_at = cum / np.arange(1, rel.size + 1)
-    return float(precision_at[rel > 0].sum() / total)
+    return float((cum / np.arange(1, cum.size + 1))[hits].sum() / total)
 
 
 def evaluate(index: RetrievalIndex, query_codes: CodeMatrix,
@@ -80,16 +83,18 @@ def evaluate(index: RetrievalIndex, query_codes: CodeMatrix,
         raise ContractError(f"map_cutoff must lie in [1, {n_db}], got {map_cutoff}")
 
     db_lab = index.labels.astype(np.float64)
+    cut = n_db if map_cutoff is None else map_cutoff
+    ks_arr = np.array(ks, dtype=np.int64)
     ap = np.empty(query_codes.n)
     prec_sum = np.zeros(len(ks))
-    for q in range(query_codes.n):
-        dists = distances_to_all(index.codes.packed, query_codes.packed[q])
-        order = np.lexsort((index.ids, dists))
-        overlap = query_labels[:, q].astype(np.float64) @ db_lab
-        rel = (overlap[order] > 0).astype(np.float64)
-        ap[q] = average_precision(rel if map_cutoff is None else rel[:map_cutoff])
-        for pos, k in enumerate(ks):
-            prec_sum[pos] += rel[:k].mean()
+    for rows, order, _ in ranked(index, query_codes.packed):
+        related = query_labels[:, rows].T.astype(np.float64) @ db_lab > 0
+        for q, hits in zip(range(rows.start, rows.stop),
+                           np.take_along_axis(related, order, axis=1)):
+            cum = np.cumsum(hits, dtype=np.float64)
+            ap[q] = _ap(hits[:cut], cum[:cut])
+            # precision@k: hit count at k over k (whole floats, so exact)
+            prec_sum += cum[ks_arr - 1] / ks_arr
 
     curve = tuple((k, float(prec_sum[pos] / query_codes.n)) for pos, k in enumerate(ks))
     return EvalReport(

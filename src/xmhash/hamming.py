@@ -22,6 +22,11 @@ from .mlp import MlpEncoder, forward
 
 CODE_FILE_VERSION = 1
 
+# one ranking tile holds at most this many query x database entries (about
+# 20 bytes each while eval scores it), so ranking memory stays flat however
+# many queries there are; a whole database row is the smallest tile
+TILE_ENTRIES = 2 ** 16
+
 # the packed format is little-endian; the uint8<->uint64 views below assume
 # the host matches
 assert sys.byteorder == "little"
@@ -107,22 +112,57 @@ def hamming_distance(a: np.ndarray, b: np.ndarray, r: int) -> int:
 
 
 def distances_to_all(packed_db: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Hamming distance from one packed query to every database row."""
+    """Hamming distances from packed queries to every database row.
+
+    A 1-D query gives (n_db,) distances; a (B, words) query block gives
+    (B, n_db). The dtype is the smallest unsigned integer that holds the
+    widest distance the word count allows (uint8 up to three words), so a
+    stable sort of a row runs as a radix sort.
+    """
     packed_db = np.asarray(packed_db, dtype=np.uint64)
-    query = np.asarray(query, dtype=np.uint64).ravel()
-    if packed_db.ndim != 2 or packed_db.shape[1] != query.size:
+    query = np.asarray(query, dtype=np.uint64)
+    block = query if query.ndim == 2 else query.reshape(1, -1)
+    if packed_db.ndim != 2 or packed_db.shape[1] != block.shape[1]:
         raise ContractError(
-            f"database words {packed_db.shape} do not match query words {query.size}"
+            f"database words {packed_db.shape} do not match query words {block.shape[1]}"
         )
-    return np.bitwise_count(packed_db ^ query[None, :]).sum(axis=1).astype(np.int64)
+    dtype = np.min_scalar_type(64 * packed_db.shape[1])
+    dists = np.bitwise_count(block[:, None, :] ^ packed_db[None, :, :]).sum(axis=2, dtype=dtype)
+    return dists if query.ndim == 2 else dists[0]
+
+
+def ranked(index: "RetrievalIndex", query_packed: np.ndarray):
+    """Rank the whole database for each packed query, one tile at a time.
+
+    query_packed is (n_query, words). Yields (rows, order, dists) per tile
+    of at most TILE_ENTRIES query x database entries (one query at least):
+    rows is the slice of query rows in the tile, order the (B, n_db) index
+    positions of each query's ranking in (distance, id) order, dists the
+    (B, n_db) distances in index order. The scan runs over the database in
+    id order, so one stable sort by distance gives exactly that order.
+    """
+    ids = index.ids
+    by_id = None if np.all(ids[:-1] <= ids[1:]) else np.argsort(ids, kind="stable")
+    packed = index.codes.packed if by_id is None else index.codes.packed[by_id]
+    queries = np.asarray(query_packed, dtype=np.uint64)
+    n_query = queries.shape[0]
+    step = max(1, TILE_ENTRIES // index.codes.n)
+    for lo in range(0, n_query, step):
+        rows = slice(lo, min(lo + step, n_query))
+        dists = distances_to_all(packed, queries[rows])
+        order = np.argsort(dists, axis=1, kind="stable")
+        if by_id is not None:
+            order = by_id[order]
+            dists[:, by_id] = dists.copy()  # back to index positions
+        yield rows, order, dists
 
 
 def topk(db: "RetrievalIndex", query_packed: np.ndarray, k: int) -> np.ndarray:
     """Ids of the k nearest database items; ties broken by ascending id."""
     if not (1 <= k <= db.codes.n):
         raise ContractError(f"k must be in [1, {db.codes.n}], got {k}")
-    dists = distances_to_all(db.codes.packed, query_packed)
-    return db.ids[np.lexsort((db.ids, dists))[:k]]
+    [(_, order, _)] = ranked(db, np.asarray(query_packed).reshape(1, -1))
+    return db.ids[order[0, :k]]
 
 
 @dataclass(frozen=True)
@@ -178,19 +218,16 @@ def encode_database(model, ds, split, reencode_train: bool = False) -> Retrieval
     else:
         enc, feats = model.image_encoder, ds.image_features
     signs = np.empty((model.r, db_ids.size), dtype=np.int8)
-    train_pos = {int(t): p for p, t in enumerate(split.train_ids)}
     if reencode_train:
         fresh = np.arange(db_ids.size)
     else:
-        fresh = np.array(
-            [p for p, i in enumerate(db_ids) if int(i) not in train_pos], dtype=np.intp
-        )
-        learned = np.array(
-            [p for p, i in enumerate(db_ids) if int(i) in train_pos], dtype=np.intp
-        )
-        if learned.size:
-            cols = np.array([train_pos[int(db_ids[p])] for p in learned], dtype=np.intp)
-            signs[:, learned] = model.codes.signs[:, cols]
+        train_ids = np.asarray(split.train_ids, dtype=np.int64)
+        by_id = np.argsort(train_ids, kind="stable")
+        slot = np.searchsorted(train_ids, db_ids, sorter=by_id).clip(max=by_id.size - 1)
+        cols = by_id[slot]
+        is_train = train_ids[cols] == db_ids
+        fresh = np.flatnonzero(~is_train)
+        signs[:, is_train] = model.codes.signs[:, cols[is_train]]
     if fresh.size:
         signs[:, fresh] = encode_with(enc, feats[db_ids[fresh]], "database features").signs
     index = RetrievalIndex(CodeMatrix.from_signs(signs), ds.labels[:, db_ids], db_ids)

@@ -34,7 +34,7 @@ from .errors import ContractError, LoadError, NumericalError
 from .hamming import CodeMatrix
 from .linalg import spd_solve
 from .mlp import (
-    ACTIVATIONS, GradBuffer, Layer, MlpEncoder, backward,
+    ACTIVATIONS, Layer, MlpEncoder, backward,
     default_image_encoder, default_text_encoder, forward, sgd_step,
 )
 from .objective import (

@@ -1,10 +1,13 @@
 """End-to-end checks of the command-line pipeline via main(argv)."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from xmhash.cli import main
 from xmhash.data import MANIFEST_NAME, SPLIT_FILES, load_dataset, load_split
+from xmhash.evaluation import average_precision
 from xmhash.hamming import read_codes
 from xmhash.training import load_model
 
@@ -180,6 +183,38 @@ def test_retrieve_row_count_and_sorting(data_dir, model_dir, tmp_path):
         assert dists == sorted(dists)
 
 
+@pytest.mark.parametrize("task", ["i2t", "t2i"])
+def test_retrieve_full_ranking_is_the_order_eval_scores(task, data_dir, model_dir, tmp_path):
+    # --k n_db lists every database item; scoring those rows must give the
+    # eval report's mAP and precision@k exactly
+    model = str(model_dir / f"{task}.model")
+    hits, report = tmp_path / "hits.csv", tmp_path / "eval.csv"
+    assert main(["retrieve", "--model", model, "--data", str(data_dir),
+                 "--k", "50", "--out", str(hits)]) == 0
+    assert main(["eval", "--model", model, "--data", str(data_dir),
+                 "--ks", "5,50", "--out", str(report)]) == 0
+    labels = load_dataset(data_dir / MANIFEST_NAME).labels.astype(bool)
+    rels = {}
+    for line in hits.read_text().splitlines()[1:]:
+        qid, _, db_id, _ = map(int, line.split(","))
+        rels.setdefault(qid, []).append(float((labels[:, qid] & labels[:, db_id]).any()))
+    assert len(rels) == 10 and all(len(rel) == 50 for rel in rels.values())
+    aps = [average_precision(rel) for rel in rels.values()]
+    lines = report.read_text().splitlines()
+    assert f",map={float(np.mean(aps))!r}," in lines[0]
+    for line, k in zip(lines[2:], (5, 50)):
+        prec = float(sum(np.mean(rel[:k]) for rel in rels.values()) / len(rels))
+        assert line == f"{k},{prec!r}"
+
+
+def test_retrieve_into_a_directory_fails_cleanly(data_dir, model_dir, tmp_path, capsys):
+    code = main(["retrieve", "--model", str(model_dir / "i2t.model"),
+                 "--data", str(data_dir), "--k", "5", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "directory" in err[0], err
+
+
 def test_retrieve_rejects_oversized_k(data_dir, model_dir, tmp_path, capsys):
     code = main(["retrieve", "--model", str(model_dir / "i2t.model"),
                  "--data", str(data_dir), "--k", "51",
@@ -228,6 +263,30 @@ def test_eval_map_grid_appends(data_dir, model_dir, tmp_path):
     assert len(lines) == 3
     assert lines[1].startswith("full,i2t,8,")
     assert lines[2].startswith("full,t2i,8,")
+
+
+class ClosedPipe:
+    """A block-buffered stdout whose reader has gone away: writes are
+    buffered, the flush fails."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_eval_into_a_closed_pipe_fails_cleanly(data_dir, model_dir, tmp_path,
+                                               monkeypatch, capsys):
+    out = tmp_path / "eval.csv"
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["eval", "--model", str(model_dir / "i2t.model"),
+                 "--data", str(data_dir), "--out", str(out)])
+    monkeypatch.undo()
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: [Errno 32] Broken pipe"]
+    assert out.is_file()
 
 
 def test_eval_rejects_bad_ks_at_parse_time(data_dir, model_dir, tmp_path):

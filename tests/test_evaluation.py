@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from xmhash import hamming
 from xmhash.errors import ContractError
 from xmhash.evaluation import (
     average_precision,
@@ -11,7 +12,7 @@ from xmhash.evaluation import (
     evaluate,
     welch_t_test,
 )
-from xmhash.hamming import CodeMatrix, RetrievalIndex, pack_signs
+from xmhash.hamming import CodeMatrix, RetrievalIndex, distances_to_all, pack_signs
 
 
 def random_signs(rng, r, n):
@@ -63,6 +64,24 @@ def evaluate_oracle(index, query_codes, query_labels, ks):
         for k in ks:
             prec[k] += sum(rel[:k]) / k
     return float(np.mean(aps)), {k: prec[k] / n_q for k in ks}, aps
+
+
+def lexsort_evaluate(index, query_codes, query_labels, ks, map_cutoff=None):
+    """One query at a time: a two-key lexsort by (distance, id), a relevance
+    matvec, and AP/precision@k in the float operation order evaluate keeps."""
+    db_lab = index.labels.astype(np.float64)
+    ap = np.empty(query_codes.n)
+    prec_sum = np.zeros(len(ks))
+    for q in range(query_codes.n):
+        dists = distances_to_all(index.codes.packed, query_codes.packed[q])
+        order = np.lexsort((index.ids, dists))
+        overlap = query_labels[:, q].astype(np.float64) @ db_lab
+        rel = (overlap[order] > 0).astype(np.float64)
+        ap[q] = average_precision(rel if map_cutoff is None else rel[:map_cutoff])
+        for pos, k in enumerate(ks):
+            prec_sum[pos] += rel[:k].mean()
+    curve = tuple((k, float(prec_sum[pos] / query_codes.n)) for pos, k in enumerate(ks))
+    return float(ap.mean()), ap, curve
 
 
 # --- average precision ----------------------------------------------------------
@@ -117,6 +136,30 @@ def test_evaluate_matches_brute_force_oracle():
         assert prec == pytest.approx(want_prec[k], abs=1e-12)
     assert report.task == "i2t" and report.r == 8
     assert report.n_query == 5 and report.n_db == 30
+
+
+BLOCK = 4
+
+
+@pytest.mark.parametrize("map_cutoff", (None, 1, 7))
+@pytest.mark.parametrize("r", (1, 4, 63, 64, 65, 128))
+@pytest.mark.parametrize("n_query", (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1))
+def test_evaluate_tiles_equal_per_query_lexsort(monkeypatch, n_query, r, map_cutoff):
+    n_db, c = 25, 3
+    monkeypatch.setattr(hamming, "TILE_ENTRIES", BLOCK * n_db)
+    rng = np.random.default_rng(1000 * r + 10 * n_query + (map_cutoff or 0))
+    index = random_index(rng, r, n_db, c)
+    # unsorted ids, so the tie order comes from ids, not storage
+    index = RetrievalIndex(index.codes, index.labels, rng.permutation(100)[:n_db])
+    q_codes = CodeMatrix.from_signs(random_signs(rng, r, n_query))
+    q_labels = rng.integers(0, 2, size=(c, n_query)).astype(np.uint8)
+    ks = (1, 5, n_db)
+    report = evaluate(index, q_codes, q_labels, ks=ks, map_cutoff=map_cutoff)
+    want_map, want_aps, want_curve = lexsort_evaluate(index, q_codes, q_labels, ks,
+                                                      map_cutoff)
+    assert report.map == want_map
+    assert np.array_equal(report.per_query_ap, want_aps)
+    assert report.topk_curve == want_curve
 
 
 def test_evaluate_ties_break_by_database_id():

@@ -1,8 +1,12 @@
 """Bit packing, Hamming ranking, database encoding, and the code file format."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from xmhash import hamming
+from xmhash.data import SplitSpec
 from xmhash.errors import ContractError, LoadError
 from xmhash.hamming import (
     CodeMatrix,
@@ -13,6 +17,7 @@ from xmhash.hamming import (
     encode_with,
     hamming_distance,
     pack_signs,
+    ranked,
     read_codes,
     topk,
     unpack_codes,
@@ -32,6 +37,18 @@ def rank_oracle(signs_db, signs_q, ids):
     """Full sort by (distance, id) on unpacked signs."""
     dists = [hamming_oracle(signs_db[:, j], signs_q) for j in range(signs_db.shape[1])]
     return [i for _, i in sorted(zip(dists, ids), key=lambda t: (t[0], t[1]))]
+
+
+def lexsort_oracle(index, q_packed):
+    """Per query: pairwise distances to every row, then one two-key lexsort
+    by (distance, id); returns ranked ids and their distances."""
+    ids, dists = [], []
+    for q in q_packed:
+        d = np.array([hamming_distance(row, q, index.codes.r) for row in index.codes.packed])
+        order = np.lexsort((index.ids, d))
+        ids.append(index.ids[order])
+        dists.append(d[order])
+    return np.array(ids), np.array(dists)
 
 
 def random_signs(rng, r, n):
@@ -135,6 +152,69 @@ def test_distances_to_all_matches_pairwise():
     dists = distances_to_all(packed, q)
     for j in range(7):
         assert dists[j] == hamming_distance(packed[j], q, 65)
+
+
+def test_distances_to_all_block_equals_stacked_rows():
+    rng = np.random.default_rng(14)
+    for r in PAD_BOUNDARY_LENGTHS:
+        db = pack_signs(random_signs(rng, r, 11))
+        queries = pack_signs(random_signs(rng, r, 4))
+        block = distances_to_all(db, queries)
+        assert block.shape == (4, 11)
+        assert np.array_equal(block, np.stack([distances_to_all(db, q) for q in queries]))
+
+
+def test_distances_to_all_dtype_holds_every_distance():
+    # all bits differ: the widest distance must not wrap in the small dtype
+    for r in (1, 64, 192, 193, 256):
+        signs = np.ones((r, 1), dtype=np.int8)
+        d = distances_to_all(pack_signs(signs), pack_signs(-signs)[0])
+        assert d.tolist() == [r]
+
+
+# --- the shared ranker ------------------------------------------------------------
+
+def ranked_ids_and_dists(index, q_packed):
+    """Ids and distances in rank order, concatenated over the ranker's tiles."""
+    ids, dists, seen = [], [], 0
+    for rows, order, d in ranked(index, q_packed):
+        assert rows.start == seen and order.shape == (rows.stop - rows.start, index.codes.n)
+        assert np.array_equal(d, distances_to_all(index.codes.packed, q_packed[rows]))
+        seen = rows.stop
+        ids.append(index.ids[order])
+        dists.append(np.take_along_axis(d, order, axis=1))
+    assert seen == len(q_packed)
+    return np.concatenate(ids), np.concatenate(dists)
+
+
+BLOCK = 4
+
+
+@pytest.mark.parametrize("id_order", ("ascending", "shuffled"))
+@pytest.mark.parametrize("r", PAD_BOUNDARY_LENGTHS + (2, 3, 4))
+@pytest.mark.parametrize("n_query", (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1))
+def test_ranked_matches_lexsort_oracle_across_tiles(monkeypatch, r, n_query, id_order):
+    n_db = 30
+    monkeypatch.setattr(hamming, "TILE_ENTRIES", BLOCK * n_db + n_db - 1)
+    rng = np.random.default_rng(100 * r + n_query)
+    # r <= 4 gives heavy distance ties among 30 items
+    ids = rng.permutation(1000)[:n_db]
+    if id_order == "ascending":
+        ids = np.sort(ids)
+    index = make_index(random_signs(rng, r, n_db), ids=ids)
+    q_packed = pack_signs(random_signs(rng, r, n_query))
+    want_ids, want_dists = lexsort_oracle(index, q_packed)
+    got_ids, got_dists = ranked_ids_and_dists(index, q_packed)
+    assert np.array_equal(got_ids, want_ids)
+    assert np.array_equal(got_dists, want_dists)
+
+
+def test_ranked_tile_is_at_least_one_row(monkeypatch):
+    monkeypatch.setattr(hamming, "TILE_ENTRIES", 1)
+    rng = np.random.default_rng(15)
+    index = make_index(random_signs(rng, 8, 6))
+    tiles = list(ranked(index, pack_signs(random_signs(rng, 8, 3))))
+    assert [t[0] for t in tiles] == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 # --- topk --------------------------------------------------------------------------
@@ -250,6 +330,17 @@ def test_encode_database_mixed_split_column_rule(tiny_ds, tiny_split, trained_i2
         else:
             expected = fresh_oracle.signs[:, int(i)]
         assert np.array_equal(index.codes.signs[:, p], expected)
+
+
+def test_encode_database_follows_train_id_order(tiny_ds, tiny_split, trained_i2t):
+    # a model's code columns follow split.train_ids, sorted or not
+    perm = np.random.default_rng(18).permutation(len(tiny_split.train_ids))
+    split = SplitSpec(tiny_split.query_ids, tiny_split.retrieval_ids,
+                      tiny_split.train_ids[perm])
+    model = replace(trained_i2t,
+                    codes=CodeMatrix.from_signs(trained_i2t.codes.signs[:, perm]))
+    want = encode_database(trained_i2t, tiny_ds, tiny_split)
+    assert np.array_equal(encode_database(model, tiny_ds, split).codes.signs, want.codes.signs)
 
 
 def test_encode_database_train_equals_retrieval_reuses_codes(tiny_ds, desk_cfg):
