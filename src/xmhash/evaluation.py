@@ -44,7 +44,11 @@ def average_precision(ranked_rel) -> float:
 
 
 def _ap(hits: np.ndarray, cum: np.ndarray) -> float:
-    """AP from a ranked hit mask and its running float hit count."""
+    """AP from a ranked hit mask and its running hit count.
+
+    The count may be integer or float: it holds whole numbers either way,
+    so each division sees the same float64 operands.
+    """
     total = cum[-1]
     if total == 0:
         return 0.0
@@ -91,9 +95,9 @@ def evaluate(index: RetrievalIndex, query_codes: CodeMatrix,
         related = query_labels[:, rows].T.astype(np.float64) @ db_lab > 0
         for q, hits in zip(range(rows.start, rows.stop),
                            np.take_along_axis(related, order, axis=1)):
-            cum = np.cumsum(hits, dtype=np.float64)
+            cum = np.cumsum(hits, dtype=np.int32)
             ap[q] = _ap(hits[:cut], cum[:cut])
-            # precision@k: hit count at k over k (whole floats, so exact)
+            # precision@k: hit count at k over k (whole numbers, so exact)
             prec_sum += cum[ks_arr - 1] / ks_arr
 
     curve = tuple((k, float(prec_sum[pos] / query_codes.n)) for pos, k in enumerate(ks))

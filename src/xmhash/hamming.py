@@ -39,6 +39,11 @@ def pack_signs(signs: np.ndarray) -> np.ndarray:
         raise ContractError(f"sign matrix must be 2-D, got ndim={signs.ndim}")
     if not np.isin(signs, (-1, 1)).all():
         raise ContractError("sign matrix entries must be +/-1")
+    return _pack(signs)
+
+
+def _pack(signs: np.ndarray) -> np.ndarray:
+    """pack_signs without the checks, for a 2-D matrix already known +/-1."""
     r, n = signs.shape
     words = (r + 63) // 64
     bits = (signs.T > 0).astype(np.uint8)
@@ -95,7 +100,7 @@ class CodeMatrix:
             raise ContractError("sign matrix entries must be +/-1")
         if self.packed.shape != (self.n, (self.r + 63) // 64):
             raise ContractError("packed shape inconsistent with sign shape")
-        if not np.array_equal(self.packed, pack_signs(self.signs)):
+        if not np.array_equal(self.packed, _pack(self.signs)):
             raise ContractError("packed words out of sync with signs")
 
 

@@ -4,12 +4,41 @@ Thin, validated wrappers around numpy/BLAS plus a Cholesky-based solver
 for symmetric positive definite systems. The solver owns its own
 factorization loop so that a failed pivot can be reported by index
 instead of a generic library error.
+
+Importing this module sets every OpenBLAS that numpy and scipy have loaded
+to one thread. The trainer's products are small (inner dimension r or c,
+128-column batches), where threading costs more than it saves, and a
+threaded GEMM may sum in another order, so model bytes would depend on the
+machine's thread setting and on which module imported numpy first. A build
+whose library lacks the OpenBLAS entry point is left as found.
 """
 
+import ctypes
+
 import numpy as np
+import numpy.linalg._umath_linalg
+import scipy.linalg._fblas
 from scipy.linalg import solve_triangular
 
 from .errors import ContractError, NumericalError
+
+
+def _single_thread_blas() -> None:
+    """Set numpy's and scipy's OpenBLAS to one thread, where they have one.
+
+    dlopen of an extension module already in memory returns its handle, and
+    a symbol lookup through it also searches the OpenBLAS it links.
+    """
+    for module, setter in (
+        (numpy.linalg._umath_linalg, "scipy_openblas_set_num_threads64_"),
+        (scipy.linalg._fblas, "scipy_openblas_set_num_threads"),
+    ):
+        set_num_threads = getattr(ctypes.CDLL(module.__file__), setter, None)
+        if set_num_threads is not None:
+            set_num_threads(1)
+
+
+_single_thread_blas()
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

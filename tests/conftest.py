@@ -7,6 +7,9 @@ summed pairwise objective stays stable, so tests built on it are
 deterministic and fast.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,15 @@ from xmhash.data import PairwiseSimilarity
 from xmhash.objective import ObjectiveState
 
 DESK_HP = (0.1, 0.01, 1e-4, 1e-3)
+
+
+def child_env(openblas_threads: str) -> dict:
+    """Environment for a child interpreter that imports this checkout's
+    xmhash, with OPENBLAS_NUM_THREADS set."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "OPENBLAS_NUM_THREADS": openblas_threads,
+            "PYTHONPATH": src + os.pathsep + path if path else src}
 
 
 @pytest.fixture(scope="session")

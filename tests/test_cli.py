@@ -1,10 +1,12 @@
 """End-to-end checks of the command-line pipeline via main(argv)."""
 
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from conftest import child_env
 from xmhash.cli import main
 from xmhash.data import MANIFEST_NAME, SPLIT_FILES, load_dataset, load_split
 from xmhash.evaluation import average_precision
@@ -329,6 +331,37 @@ def test_model_on_a_split_with_another_train_size_fails_cleanly(
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert "trained on 40 items" in err[0]
+
+
+# --- BLAS threads ----------------------------------------------------------------
+
+# the README recipe's synth flags; at 32 bits a threaded OpenBLAS sums some
+# of the trainer's products in another order
+RECIPE_SYNTH = ["--n", "500", "--dx", "16", "--dy", "32", "--c", "4", "--noise", "0.2",
+                "--seed", "0", "--n-query", "100", "--n-train", "400"]
+RECIPE_TRAIN = ["--task", "both", "--bits", "32", "--epochs", "3", "--batch-size", "128",
+                "--hidden", "64", "--lr-image", "1e-5", "--lr-text", "1e-5"]
+
+
+def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
+    runs = {
+        "1 thread": ("1", "import sys; from xmhash.cli import main; sys.exit(main())"),
+        "2 threads": ("2", "import sys; from xmhash.cli import main; sys.exit(main())"),
+        # numpy loaded before xmhash, as a program that wraps the CLI loads it
+        "2 threads, numpy first":
+            ("2", "import numpy, sys; from xmhash.cli import main; sys.exit(main())"),
+    }
+    models = {}
+    for name, (threads, program) in runs.items():
+        data, out = tmp_path / name / "data", tmp_path / name / "models"
+        for argv in (["synth", "--out", str(data), *RECIPE_SYNTH],
+                     ["train", "--data", str(data), "--out", str(out), *RECIPE_TRAIN]):
+            subprocess.run([sys.executable, "-c", program, *argv], env=child_env(threads),
+                           check=True, capture_output=True)
+        models[name] = [(out / f"{task}.model").read_bytes() for task in ("i2t", "t2i")]
+    first = models.pop("1 thread")
+    for name, found in models.items():
+        assert found == first, f"{name} wrote other model bytes than 1 thread"
 
 
 # --- gradcheck -------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Dense kernel tests against loop-level reference implementations."""
 
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from conftest import child_env
 from xmhash.errors import ContractError, NumericalError
 from xmhash.linalg import cholesky_lower, row_sums, spd_solve
 
@@ -89,3 +94,27 @@ def test_cholesky_reports_failing_pivot_index():
 def test_cholesky_rejects_non_square():
     with pytest.raises(ContractError, match="square"):
         cholesky_lower(np.zeros((2, 3)))
+
+
+# each OpenBLAS numpy and scipy wheels link: (extension module, get_num_threads entry)
+PROBE = """
+import ctypes, json
+import numpy.linalg._umath_linalg, scipy.linalg._fblas
+import xmhash
+threads = {}
+for module, getter in ((numpy.linalg._umath_linalg, "scipy_openblas_get_num_threads64_"),
+                       (scipy.linalg._fblas, "scipy_openblas_get_num_threads")):
+    get = getattr(ctypes.CDLL(module.__file__), getter, None)
+    if get is not None:
+        threads[module.__name__] = get()
+print(json.dumps(threads))
+"""
+
+
+def test_importing_xmhash_leaves_openblas_on_one_thread():
+    out = subprocess.run([sys.executable, "-c", PROBE], env=child_env("2"), check=True,
+                         capture_output=True, text=True).stdout
+    threads = json.loads(out)
+    if not threads:
+        pytest.skip("neither numpy nor scipy links an OpenBLAS here")
+    assert threads == dict.fromkeys(threads, 1)
