@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import ContractError
 from .hamming import CodeMatrix, RetrievalIndex, ranked
@@ -40,19 +39,18 @@ def average_precision(ranked_rel) -> float:
         raise ContractError("ranking is empty")
     if not np.isin(rel, (0.0, 1.0)).all():
         raise ContractError("relevance entries must be 0 or 1")
-    return _ap(rel > 0, np.cumsum(rel))
+    return _ap(np.flatnonzero(rel))
 
 
-def _ap(hits: np.ndarray, cum: np.ndarray) -> float:
-    """AP from a ranked hit mask and its running hit count.
+def _ap(pos: np.ndarray) -> float:
+    """AP from the ascending ranks (0-based) of the relevant items.
 
-    The count may be integer or float: it holds whole numbers either way,
-    so each division sees the same float64 operands.
+    The hit at pos[j] is the (j+1)-th, so its precision is (j+1)/(pos[j]+1);
+    the quotients are summed in rank order and divided by the hit count.
     """
-    total = cum[-1]
-    if total == 0:
+    if pos.size == 0:
         return 0.0
-    return float((cum / np.arange(1, cum.size + 1))[hits].sum() / total)
+    return float((np.arange(1, pos.size + 1) / (pos + 1)).sum() / pos.size)
 
 
 def evaluate(index: RetrievalIndex, query_codes: CodeMatrix,
@@ -95,12 +93,12 @@ def evaluate(index: RetrievalIndex, query_codes: CodeMatrix,
         related = query_labels[:, rows].T.astype(np.float64) @ db_lab > 0
         for q, hits in zip(range(rows.start, rows.stop),
                            np.take_along_axis(related, order, axis=1)):
-            cum = np.cumsum(hits, dtype=np.int32)
-            ap[q] = _ap(hits[:cut], cum[:cut])
-            # precision@k: hit count at k over k (whole numbers, so exact)
-            prec_sum += cum[ks_arr - 1] / ks_arr
+            pos = np.flatnonzero(hits)
+            ap[q] = _ap(pos[:np.searchsorted(pos, cut)])
+            # precision@k: hits ranked before k, over k
+            prec_sum += np.searchsorted(pos, ks_arr) / ks_arr
 
-    curve = tuple((k, float(prec_sum[pos] / query_codes.n)) for pos, k in enumerate(ks))
+    curve = tuple((k, float(prec_sum[i] / query_codes.n)) for i, k in enumerate(ks))
     return EvalReport(
         task=task,
         r=query_codes.r,
@@ -118,6 +116,8 @@ def welch_t_test(ap_a, ap_b):
     Returns (t, p, h) with h = 1 when p < 0.05. Requires two or more
     samples per side and nonzero variance in at least one list.
     """
+    from scipy.special import stdtr
+
     a = np.asarray(ap_a, dtype=np.float64).ravel()
     b = np.asarray(ap_b, dtype=np.float64).ravel()
     if a.size < 2 or b.size < 2:

@@ -93,7 +93,10 @@ class CodeMatrix:
         values = np.asarray(values, dtype=np.float64)
         if not np.all(np.isfinite(values)):
             raise ContractError("cannot binarize non-finite values")
-        return cls.from_signs(np.where(values >= 0, 1, -1).astype(np.int8))
+        if values.ndim != 2:
+            raise ContractError(f"sign matrix must be 2-D, got ndim={values.ndim}")
+        signs = np.where(values >= 0, 1, -1).astype(np.int8)
+        return cls(signs, _pack(signs))
 
     def validate(self) -> None:
         if not np.isin(self.signs, (-1, 1)).all():
@@ -235,9 +238,7 @@ def encode_database(model, ds, split, reencode_train: bool = False) -> Retrieval
         signs[:, is_train] = model.codes.signs[:, cols[is_train]]
     if fresh.size:
         signs[:, fresh] = encode_with(enc, feats[db_ids[fresh]], "database features").signs
-    index = RetrievalIndex(CodeMatrix.from_signs(signs), ds.labels[:, db_ids], db_ids)
-    index.validate()
-    return index
+    return RetrievalIndex(CodeMatrix.from_signs(signs), ds.labels[:, db_ids], db_ids)
 
 
 def write_codes(cm: CodeMatrix, path) -> Path:

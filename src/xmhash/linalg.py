@@ -5,40 +5,53 @@ for symmetric positive definite systems. The solver owns its own
 factorization loop so that a failed pivot can be reported by index
 instead of a generic library error.
 
-Importing this module sets every OpenBLAS that numpy and scipy have loaded
-to one thread. The trainer's products are small (inner dimension r or c,
-128-column batches), where threading costs more than it saves, and a
-threaded GEMM may sum in another order, so model bytes would depend on the
-machine's thread setting and on which module imported numpy first. A build
-whose library lacks the OpenBLAS entry point is left as found.
+Every OpenBLAS that xmhash calls runs on one thread. The trainer's
+products are small (inner dimension r or c, 128-column batches), where
+threading costs more than it saves, and a threaded GEMM may sum in another
+order, so model bytes would depend on the machine's thread setting and on
+which module imported numpy first. Importing this module pins numpy's
+OpenBLAS, and scipy's too if scipy.linalg is already loaded; otherwise
+scipy is imported, and its OpenBLAS pinned, only when spd_solve first
+needs it, so that commands which never solve (synth, encode, eval,
+retrieve) do not pay for importing scipy. A build whose library lacks the
+OpenBLAS entry point is left as found.
 """
 
 import ctypes
+import functools
+import sys
 
 import numpy as np
 import numpy.linalg._umath_linalg
-import scipy.linalg._fblas
-from scipy.linalg import solve_triangular
 
 from .errors import ContractError, NumericalError
 
 
-def _single_thread_blas() -> None:
-    """Set numpy's and scipy's OpenBLAS to one thread, where they have one.
+def _single_thread_blas(module, setter: str) -> None:
+    """Set the OpenBLAS that an extension module links to one thread.
 
     dlopen of an extension module already in memory returns its handle, and
     a symbol lookup through it also searches the OpenBLAS it links.
     """
-    for module, setter in (
-        (numpy.linalg._umath_linalg, "scipy_openblas_set_num_threads64_"),
-        (scipy.linalg._fblas, "scipy_openblas_set_num_threads"),
-    ):
-        set_num_threads = getattr(ctypes.CDLL(module.__file__), setter, None)
-        if set_num_threads is not None:
-            set_num_threads(1)
+    set_num_threads = getattr(ctypes.CDLL(module.__file__), setter, None)
+    if set_num_threads is not None:
+        set_num_threads.argtypes, set_num_threads.restype = [ctypes.c_int], None
+        set_num_threads(1)
 
 
-_single_thread_blas()
+@functools.cache
+def _solve_triangular():
+    """scipy's solve_triangular, imported on first use with its OpenBLAS pinned."""
+    import scipy.linalg._fblas
+    from scipy.linalg import solve_triangular
+
+    _single_thread_blas(scipy.linalg._fblas, "scipy_openblas_set_num_threads")
+    return solve_triangular
+
+
+_single_thread_blas(numpy.linalg._umath_linalg, "scipy_openblas_set_num_threads64_")
+if "scipy.linalg._fblas" in sys.modules:
+    _solve_triangular()
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -108,6 +121,7 @@ def spd_solve(a, b) -> np.ndarray:
             f"spd_solve shape mismatch: matrix {a.shape} vs rhs {b_arr.shape}"
         )
     low = cholesky_lower(a)
+    solve_triangular = _solve_triangular()
     y = solve_triangular(low, b_arr, lower=True)
     x = solve_triangular(low.T, y, lower=False)
     check_finite(x, "spd_solve result")

@@ -16,7 +16,6 @@ blocks.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from .data import PairwiseSimilarity
 from .errors import ContractError, NumericalError
@@ -165,6 +164,8 @@ def _pairwise_grad(own, other, sim, batch):
     Label overlap is symmetric, so one formula serves both modalities: the
     text-block gradient is the image-block one with the blocks swapped.
     """
+    from scipy.special import expit as sigmoid
+
     n = own.shape[1]
     out = np.zeros((own.shape[0], batch.size))
     for j0 in range(0, n, _CHUNK):

@@ -23,12 +23,16 @@ TRAIN_FLAGS = [
 ]
 
 
-def run_synth(out, n=60, seed=7):
-    return main([
+def synth_argv(out, n=60, seed=7):
+    return [
         "synth", "--out", str(out), "--n", str(n), "--dx", "8", "--dy", "12",
         "--c", "3", "--noise", "0.1", "--seed", str(seed),
         "--n-query", "10", "--n-train", "40",
-    ])
+    ]
+
+
+def run_synth(out, n=60, seed=7):
+    return main(synth_argv(out, n, seed))
 
 
 @pytest.fixture()
@@ -362,6 +366,37 @@ def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
     first = models.pop("1 thread")
     for name, found in models.items():
         assert found == first, f"{name} wrote other model bytes than 1 thread"
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+
+@pytest.mark.parametrize("module", ["xmhash", "xmhash.cli"])
+def test_importing_xmhash_loads_no_scipy(module):
+    program = f"import sys, {module}; print({SCIPY_MODULES})"
+    out = subprocess.run([sys.executable, "-c", program], env=child_env("1"), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_synth_encode_eval_retrieve_load_no_scipy(tmp_path, model_dir):
+    # the child writes the same dataset the model was trained on (synth is
+    # deterministic), then queries it; only train and gradcheck need scipy
+    data, model = tmp_path / "child_data", str(model_dir / "i2t.model")
+    program = f"""
+import sys
+from xmhash.cli import main
+assert main({synth_argv(data)!r}) == 0
+for argv in (["encode", "--out-dir", {str(tmp_path / "codes")!r}],
+             ["eval", "--out", {str(tmp_path / "eval.csv")!r}],
+             ["retrieve", "--k", "5", "--out", {str(tmp_path / "hits.csv")!r}]):
+    assert main([*argv, "--model", {model!r}, "--data", {str(data)!r}]) == 0
+print({SCIPY_MODULES})
+"""
+    out = subprocess.run([sys.executable, "-c", program], env=child_env("1"), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "eval.csv").is_file() and (tmp_path / "hits.csv").is_file()
 
 
 # --- gradcheck -------------------------------------------------------------------

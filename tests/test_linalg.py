@@ -118,3 +118,29 @@ def test_importing_xmhash_leaves_openblas_on_one_thread():
     if not threads:
         pytest.skip("neither numpy nor scipy links an OpenBLAS here")
     assert threads == dict.fromkeys(threads, 1)
+
+
+# xmhash imported before scipy: scipy's OpenBLAS is pinned when spd_solve
+# first loads it, before the trainer's first scipy product
+TRAIN_PROBE = """
+import ctypes, sys
+import xmhash
+assert "scipy.linalg._fblas" not in sys.modules
+from xmhash import HyperParams, TrainConfig, make_split, synth, train_task
+ds = synth(40, 6, 8, 3, noise=0.1, seed=1)
+cfg = TrainConfig(bits=8, epochs=2, batch_size=16, lr_image=1e-3, lr_text=1e-3,
+                  seed=0, hidden_dim=16)
+train_task(ds, make_split(ds.n, 8, 30, seed=1), cfg, HyperParams(0.1, 0.01, 1e-4, 1e-3))
+import scipy.linalg._fblas
+get = getattr(ctypes.CDLL(scipy.linalg._fblas.__file__), "scipy_openblas_get_num_threads", None)
+print(-1 if get is None else get())
+"""
+
+
+def test_training_leaves_scipy_openblas_on_one_thread():
+    out = subprocess.run([sys.executable, "-c", TRAIN_PROBE], env=child_env("2"), check=True,
+                         capture_output=True, text=True).stdout
+    threads = int(out.strip().splitlines()[-1])
+    if threads == -1:
+        pytest.skip("scipy links no OpenBLAS here")
+    assert threads == 1
