@@ -7,8 +7,12 @@ flag validation happens at parse time.
 """
 
 import argparse
+import ctypes
 import os
+import pickle
+import signal
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +125,92 @@ def _write_train_log(model, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+PR_SET_PDEATHSIG = 1  # linux/prctl.h
+
+
+def _die_with_parent(parent: int) -> None:
+    """Have the kernel SIGKILL this process once its parent dies, so that a
+    killed `train` leaves no trainer running. Left out where libc has no
+    prctl."""
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is None:
+        return
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # the parent died before the call
+        os._exit(1)
+
+
+class _Forked:
+    """fn(*args) running in a forked child process.
+
+    The child pickles fn's return value, or the exception fn raised,
+    through a pipe, then ends with os._exit, so it never returns into the
+    caller's frames or flushes their stdio buffers. result() reads the pipe
+    to EOF and reaps the child; close() kills and reaps a child that
+    result() has not reaped. Forking is safe here because the CLI runs no
+    other thread (OpenBLAS is pinned to one).
+    """
+
+    def __init__(self, label: str, fn, *args):
+        self.label = label
+        parent = os.getpid()
+        read_fd, write_fd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(read_fd)
+                _die_with_parent(parent)
+                with warnings.catch_warnings(record=True) as caught:
+                    try:
+                        value = fn(*args)
+                    except BaseException as exc:
+                        value = exc
+                caught = [(str(w.message), w.category, w.filename, w.lineno)
+                          for w in caught]
+                with open(write_fd, "wb") as fh:
+                    pickle.dump((value, caught), fh)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        self.pipe = open(read_fd, "rb")
+        self.status = None
+
+    def result(self) -> tuple:
+        """Once the child ends: fn's return value, or the exception it
+        raised, and the warnings fn issued, for _replay_warnings."""
+        payload = self.pipe.read()
+        self.pipe.close()
+        self.status = os.waitpid(self.pid, 0)[1]
+        try:
+            return pickle.loads(payload)
+        except Exception:
+            code = os.waitstatus_to_exitcode(self.status)
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            return ChildProcessError(
+                f"{self.label}: child process ended without a result ({how})"), []
+
+    def close(self) -> None:
+        self.pipe.close()
+        if self.status is None:
+            os.kill(self.pid, signal.SIGKILL)  # harmless if it has just ended
+            self.status = os.waitpid(self.pid, 0)[1]
+
+
+def _replay_warnings(caught) -> None:
+    """Issue warnings recorded in a child as if this process had met them:
+    the same filters, and the once-per-location registry of the module
+    that issued them, decide whether each is shown."""
+    for message, category, filename, lineno in caught:
+        module = next((m for m in list(sys.modules.values())
+                       if getattr(m, "__file__", None) == filename), None)
+        registry = (None if module is None
+                    else vars(module).setdefault("__warningregistry__", {}))
+        warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+
+
 def cmd_train(args) -> int:
     ds, split = _load_data(args.data)
     cfg = TrainConfig(
@@ -133,8 +223,21 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tasks = ("i2t", "t2i") if args.task == "both" else (args.task,)
-    for task in tasks:
-        model = train_task(ds, split, cfg, _resolve_hp(args, task))
+    # The directions share no state, so every direction after the first
+    # trains in a forked child, on another core, while this process trains
+    # the first. Files and lines still follow the task order.
+    children = [_Forked(f"training {task}", train_task, ds, split, cfg,
+                        _resolve_hp(args, task)) for task in tasks[1:]]
+    try:
+        results = [(train_task(ds, split, cfg, _resolve_hp(args, tasks[0])), [])]
+        results += [child.result() for child in children]
+    finally:
+        for child in children:
+            child.close()
+    for task, (model, caught) in zip(tasks, results):
+        _replay_warnings(caught)
+        if isinstance(model, BaseException):
+            raise model
         model_path = save_model(model, out / f"{task}.model")
         _write_train_log(model, out / f"{task}_train_log.csv")
         final = model.train_log[-1].objective

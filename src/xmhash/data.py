@@ -19,6 +19,7 @@ instance index per line, LF-terminated.
 """
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -156,9 +157,10 @@ class SplitSpec:
                 raise ContractError(
                     f"{name} ids out of range for dataset of size {n}"
                 )
-            if np.unique(ids).size != ids.size:
+            ordered = np.sort(ids)
+            if (ordered[1:] == ordered[:-1]).any():
                 raise ContractError(f"{name} ids contain duplicates")
-        if np.intersect1d(self.query_ids, self.retrieval_ids).size:
+        if np.isin(self.query_ids, self.retrieval_ids).any():
             raise ContractError("query and retrieval ids overlap")
         if not np.isin(self.train_ids, self.retrieval_ids).all():
             raise ContractError("train ids must be a subset of retrieval ids")
@@ -341,6 +343,30 @@ def save_split(split: SplitSpec, out_dir) -> None:
         (out / fname).write_text("".join(f"{int(i)}\n" for i in ids))
 
 
+# one unsigned decimal per LF-terminated line, as save_split writes them;
+# at most 18 digits, so that every value fits an int64
+_PLAIN_IDS = re.compile(r"(?:[0-9]{1,18}\n)*")
+
+
+def _parse_ids(f: Path) -> np.ndarray:
+    """One split file's ids. A plain file parses in one pass in C; any
+    other goes line by line through int(), skipping blank lines, so that
+    a bad line can be named."""
+    text = f.read_text()
+    if _PLAIN_IDS.fullmatch(text):
+        return np.fromstring(text, dtype=np.int64, sep="\n")
+    ids = []
+    for ln, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            ids.append(int(line))
+        except ValueError as exc:
+            raise LoadError(f"{f}:{ln}: not a decimal index: {line!r}") from exc
+    return np.asarray(ids, dtype=np.int64)
+
+
 def load_split(split_dir, n: int | None = None) -> SplitSpec:
     """Read the three id files; validates against dataset size when given."""
     d = Path(split_dir)
@@ -349,18 +375,10 @@ def load_split(split_dir, n: int | None = None) -> SplitSpec:
         f = d / fname
         if not f.is_file():
             raise LoadError(f"split file not found: {f}")
-        ids = []
-        for ln, line in enumerate(f.read_text().splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                ids.append(int(line))
-            except ValueError as exc:
-                raise LoadError(f"{f}:{ln}: not a decimal index: {line!r}") from exc
-        if not ids:
+        ids = _parse_ids(f)
+        if not ids.size:
             raise LoadError(f"split file is empty: {f}")
-        lists.append(np.asarray(ids, dtype=np.int64))
+        lists.append(ids)
     split = SplitSpec(*lists)
     if n is not None:
         try:

@@ -328,7 +328,9 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
 def train_both(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
                hp_i2t: HyperParams, hp_t2i: HyperParams) -> dict:
     """Train the two directions independently (sequentially; they share no
-    state, so this equals any concurrent schedule)."""
+    state, so this equals any concurrent schedule). `xmhash train --task
+    both` relies on that: it trains t2i in a forked child process while it
+    trains i2t."""
     if hp_i2t.task != "i2t" or hp_t2i.task != "t2i":
         raise ContractError("hyperparameter tasks must match their direction")
     return {

@@ -1,17 +1,26 @@
 """End-to-end checks of the command-line pipeline via main(argv)."""
 
+import os
+import signal
 import subprocess
 import sys
+import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import child_env
+from xmhash import cli
 from xmhash.cli import main
 from xmhash.data import MANIFEST_NAME, SPLIT_FILES, load_dataset, load_split
+from xmhash.errors import NumericalError
 from xmhash.evaluation import average_precision
 from xmhash.hamming import read_codes
 from xmhash.training import load_model
+
+CLI_MAIN = "import sys; from xmhash.cli import main; sys.exit(main())"
 
 # small-but-stable pipeline settings used across the tests in this module:
 # explicit low learning rate because the CLI default targets larger runs
@@ -142,6 +151,144 @@ def test_train_missing_data_dir_is_runtime_error(tmp_path, capsys):
                  "--out", str(tmp_path / "m"), *TRAIN_FLAGS])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def train_argv(data_dir, out, task, *extra):
+    return ["train", "--data", str(data_dir), "--out", str(out), "--task", task,
+            *TRAIN_FLAGS, *extra]
+
+
+@pytest.mark.parametrize("variant", ["full", "v1"])
+def test_train_both_equals_each_task_alone(variant, data_dir, tmp_path, capsys):
+    # --task both trains t2i in a forked child; nothing about it may differ
+    # from training each direction on its own
+    both, alone = tmp_path / "both", tmp_path / "alone"
+    assert main(train_argv(data_dir, both, "both", "--variant", variant)) == 0
+    printed_both = capsys.readouterr().out.replace(str(both), "OUT")
+    printed_alone = ""
+    for task in ("i2t", "t2i"):
+        assert main(train_argv(data_dir, alone, task, "--variant", variant)) == 0
+        printed_alone += capsys.readouterr().out.replace(str(alone), "OUT")
+    assert printed_both.splitlines() == printed_alone.splitlines()
+    assert sorted(p.name for p in both.iterdir()) == sorted(p.name for p in alone.iterdir())
+    for task in ("i2t", "t2i"):
+        assert (both / f"{task}.model").read_bytes() == (alone / f"{task}.model").read_bytes()
+        logs = [[line.rsplit(",", 1)[0] for line in
+                 (d / f"{task}_train_log.csv").read_text().splitlines()]
+                for d in (both, alone)]
+        assert logs[0] == logs[1]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def train_task_failing_at(task, action):
+    """cli.train_task, except that training `task` calls action() instead."""
+    real = cli.train_task
+
+    def train(ds, split, cfg, hp):
+        return action() if hp.task == task else real(ds, split, cfg, hp)
+    return train
+
+
+def raise_numerical():
+    raise NumericalError("epoch 1, image sweep: test failure")
+
+
+def test_train_both_t2i_failure_keeps_i2t_output(data_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "train_task", train_task_failing_at("t2i", raise_numerical))
+    out = tmp_path / "m"
+    assert main(train_argv(data_dir, out, "both")) == 1
+    printed = capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == ["i2t.model", "i2t_train_log.csv"]
+    assert printed.out.splitlines()[0].startswith("trained i2t")
+    assert printed.err.splitlines() == ["error: epoch 1, image sweep: test failure"]
+    assert_no_child_left()
+
+
+def test_train_both_i2t_failure_writes_nothing(data_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "train_task", train_task_failing_at("i2t", raise_numerical))
+    out = tmp_path / "m"
+    assert main(train_argv(data_dir, out, "both")) == 1
+    printed = capsys.readouterr()
+    assert list(out.iterdir()) == []
+    assert printed.out == ""
+    assert printed.err.splitlines() == ["error: epoch 1, image sweep: test failure"]
+    assert_no_child_left()
+
+
+def test_train_both_child_that_dies_is_an_error(data_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "train_task", train_task_failing_at("t2i", lambda: os._exit(3)))
+    out = tmp_path / "m"
+    assert main(train_argv(data_dir, out, "both")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: training t2i: child process ended without a result "
+                   "(exit status 3)"]
+    assert sorted(p.name for p in out.iterdir()) == ["i2t.model", "i2t_train_log.csv"]
+    assert_no_child_left()
+
+
+def test_train_both_replays_t2i_warnings_in_task_order(data_dir, tmp_path, monkeypatch):
+    real = cli.train_task
+
+    def train(ds, split, cfg, hp):
+        # after training: its first scipy import resets every module's
+        # once-per-location registry, in the child as in this process
+        model = real(ds, split, cfg, hp)
+        warnings.warn(f"{hp.task} warns", RuntimeWarning)
+        warnings.warn("both warn", RuntimeWarning)
+        return model
+
+    monkeypatch.setattr(cli, "train_task", train)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        assert main(train_argv(data_dir, tmp_path / "m", "both")) == 0
+    # as when t2i trains after i2t: its own warning comes second, and the one
+    # that i2t already issued from the same line is not shown again
+    assert [str(w.message) for w in caught] == ["i2t warns", "both warn", "t2i warns"]
+    assert caught[2].filename == __file__
+    assert_no_child_left()
+
+
+def test_killed_train_leaves_no_trainer(data_dir, tmp_path):
+    argv = train_argv(data_dir, tmp_path / "m", "both")
+    argv[argv.index("--epochs") + 1] = "100000"
+    proc = subprocess.Popen([sys.executable, "-c", CLI_MAIN, *argv], env=child_env("1"),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    trainer = None
+    try:
+        deadline = time.monotonic() + 60
+        while trainer is None and time.monotonic() < deadline:
+            if not children.exists() and proc.poll() is None:
+                pytest.skip("this kernel does not list a task's children in /proc")
+            found = children.read_text().split() if children.exists() else []
+            trainer = int(found[0]) if found else None
+            assert proc.poll() is None, "train ended before it forked"
+            time.sleep(0.05)
+        assert trainer is not None, "train never forked its t2i trainer"
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 5
+        while process_alive(trainer) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not process_alive(trainer), "the t2i trainer outlived its killed parent"
+    finally:
+        proc.kill()
+        proc.wait()
+        if trainer is not None and process_alive(trainer):
+            os.kill(trainer, signal.SIGKILL)
+
+
+def process_alive(pid):
+    """True while pid runs; a zombie waiting for its new parent has ended."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
 
 
 # --- encode ----------------------------------------------------------------------

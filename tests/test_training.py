@@ -1,11 +1,15 @@
 """Discrete/ridge updates, the alternating trainer, variants, persistence."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import DESK_HP
+from conftest import DESK_HP, child_env
 from xmhash.data import make_split, synth
 from xmhash.errors import ContractError, LoadError, NumericalError
 from xmhash.mlp import forward
@@ -240,6 +244,37 @@ def test_train_both_returns_both_directions(tiny_ds, tiny_split, desk_cfg):
                         HyperParams(*DESK_HP, task="t2i"))
     assert set(models) == {"i2t", "t2i"}
     assert models["i2t"].task == "i2t" and models["t2i"].task == "t2i"
+
+
+ORDER_PROGRAM = """
+import sys
+from conftest import DESK_HP
+from xmhash import HyperParams, TrainConfig, make_split, save_model, synth, train_task
+ds = synth(60, 8, 12, 3, noise=0.1, seed=5)
+split = make_split(ds.n, 10, 40, seed=2)
+cfg = TrainConfig(bits=8, epochs=6, batch_size=16, lr_image=1e-3, lr_text=1e-3,
+                  seed=0, hidden_dim=32)
+for task in sys.argv[2:]:
+    save_model(train_task(ds, split, cfg, HyperParams(*DESK_HP, task=task)),
+               f"{sys.argv[1]}/{task}.model")
+"""
+
+
+def test_directions_do_not_depend_on_order(tmp_path):
+    # `train --task both` trains t2i in a forked child, so neither direction
+    # may depend on state that the other leaves behind in the process (a
+    # cached import, a global RNG); each order runs in a fresh interpreter
+    tests_dir = str(Path(__file__).resolve().parent)
+    env = child_env("1")
+    env["PYTHONPATH"] = tests_dir + os.pathsep + env["PYTHONPATH"]
+    orders = {"forward": ("i2t", "t2i"), "reverse": ("t2i", "i2t")}
+    for name, order in orders.items():
+        (tmp_path / name).mkdir()
+        subprocess.run([sys.executable, "-c", ORDER_PROGRAM, str(tmp_path / name), *order],
+                       env=env, check=True, capture_output=True)
+    for task in ("i2t", "t2i"):
+        assert ((tmp_path / "forward" / f"{task}.model").read_bytes()
+                == (tmp_path / "reverse" / f"{task}.model").read_bytes()), task
 
 
 def test_train_both_rejects_mismatched_tasks(tiny_ds, tiny_split, desk_cfg):
