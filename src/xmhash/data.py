@@ -346,6 +346,7 @@ def save_split(split: SplitSpec, out_dir) -> None:
 # one unsigned decimal per LF-terminated line, as save_split writes them;
 # at most 18 digits, so that every value fits an int64
 _PLAIN_IDS = re.compile(r"(?:[0-9]{1,18}\n)*")
+_INT64 = np.iinfo(np.int64)
 
 
 def _parse_ids(f: Path) -> np.ndarray:
@@ -364,6 +365,8 @@ def _parse_ids(f: Path) -> np.ndarray:
             ids.append(int(line))
         except ValueError as exc:
             raise LoadError(f"{f}:{ln}: not a decimal index: {line!r}") from exc
+        if not _INT64.min <= ids[-1] <= _INT64.max:
+            raise LoadError(f"{f}:{ln}: index does not fit in 64 bits: {line!r}")
     return np.asarray(ids, dtype=np.int64)
 
 

@@ -91,9 +91,8 @@ def evaluate(index: RetrievalIndex, query_codes: CodeMatrix,
     prec_sum = np.zeros(len(ks))
     for rows, order, _ in ranked(index, query_codes.packed):
         related = query_labels[:, rows].T.astype(np.float64) @ db_lab > 0
-        for q, hits in zip(range(rows.start, rows.stop),
-                           np.take_along_axis(related, order, axis=1)):
-            pos = np.flatnonzero(hits)
+        for q, rel, row_order in zip(range(rows.start, rows.stop), related, order):
+            pos = np.flatnonzero(rel.take(row_order))
             ap[q] = _ap(pos[:np.searchsorted(pos, cut)])
             # precision@k: hits ranked before k, over k
             prec_sum += np.searchsorted(pos, ks_arr) / ks_arr

@@ -10,15 +10,13 @@ products are small (inner dimension r or c, 128-column batches), where
 threading costs more than it saves, and a threaded GEMM may sum in another
 order, so model bytes would depend on the machine's thread setting and on
 which module imported numpy first. Importing this module pins numpy's
-OpenBLAS, and scipy's too if scipy.linalg is already loaded; otherwise
-scipy is imported, and its OpenBLAS pinned, only when spd_solve first
-needs it, so that commands which never solve (synth, encode, eval,
-retrieve) do not pay for importing scipy. A build whose library lacks the
-OpenBLAS entry point is left as found.
+OpenBLAS, and scipy's too if scipy.linalg is already loaded by the host
+program. xmhash itself never imports scipy.linalg: the triangular solves
+are substitutions over the c x c factor, in numpy. A build whose library
+lacks the OpenBLAS entry point is left as found.
 """
 
 import ctypes
-import functools
 import sys
 
 import numpy as np
@@ -39,19 +37,9 @@ def _single_thread_blas(module, setter: str) -> None:
         set_num_threads(1)
 
 
-@functools.cache
-def _solve_triangular():
-    """scipy's solve_triangular, imported on first use with its OpenBLAS pinned."""
-    import scipy.linalg._fblas
-    from scipy.linalg import solve_triangular
-
-    _single_thread_blas(scipy.linalg._fblas, "scipy_openblas_set_num_threads")
-    return solve_triangular
-
-
 _single_thread_blas(numpy.linalg._umath_linalg, "scipy_openblas_set_num_threads64_")
 if "scipy.linalg._fblas" in sys.modules:
-    _solve_triangular()
+    _single_thread_blas(sys.modules["scipy.linalg._fblas"], "scipy_openblas_set_num_threads")
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -121,8 +109,13 @@ def spd_solve(a, b) -> np.ndarray:
             f"spd_solve shape mismatch: matrix {a.shape} vs rhs {b_arr.shape}"
         )
     low = cholesky_lower(a)
-    solve_triangular = _solve_triangular()
-    y = solve_triangular(low, b_arr, lower=True)
-    x = solve_triangular(low.T, y, lower=False)
+    # forward substitution for low y = b, then back substitution for low^T x = y
+    n = low.shape[0]
+    y = np.empty_like(b_arr)
+    for k in range(n):
+        y[k] = (b_arr[k] - low[k, :k] @ y[:k]) / low[k, k]
+    x = np.empty_like(y)
+    for k in reversed(range(n)):
+        x[k] = (y[k] - low[k + 1 :, k] @ x[k + 1 :]) / low[k, k]
     check_finite(x, "spd_solve result")
     return x[:, 0] if squeeze else x

@@ -164,15 +164,20 @@ def _pairwise_grad(own, other, sim, batch):
     Label overlap is symmetric, so one formula serves both modalities: the
     text-block gradient is the image-block one with the blocks swapped.
     """
-    from scipy.special import expit as sigmoid
-
     n = own.shape[1]
     out = np.zeros((own.shape[0], batch.size))
     for j0 in range(0, n, _CHUNK):
         cols = np.arange(j0, min(j0 + _CHUNK, n))
-        phi = 0.5 * own[:, batch].T @ other[:, cols]
-        s = sim.block(batch, cols)
-        out += 0.5 * other[:, cols] @ (sigmoid(phi) - s).T
+        # sigmoid(phi) - s in place, phi = 0.5 * own_b^T other_c: exp(-phi)
+        # overflows to inf for very negative phi, whose limit 1/inf = 0 is
+        # the intended sigmoid value
+        z = -0.5 * own[:, batch].T @ other[:, cols]
+        with np.errstate(over="ignore"):
+            np.exp(z, out=z)
+        z += 1.0
+        np.reciprocal(z, out=z)
+        z -= sim.block(batch, cols)
+        out += 0.5 * other[:, cols] @ z.T
     return out
 
 

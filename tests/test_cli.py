@@ -234,8 +234,7 @@ def test_train_both_replays_t2i_warnings_in_task_order(data_dir, tmp_path, monke
     real = cli.train_task
 
     def train(ds, split, cfg, hp):
-        # after training: its first scipy import resets every module's
-        # once-per-location registry, in the child as in this process
+        # after training, in the process that trained: the t2i child or this one
         model = real(ds, split, cfg, hp)
         warnings.warn(f"{hp.task} warns", RuntimeWarning)
         warnings.warn("both warn", RuntimeWarning)
@@ -460,6 +459,17 @@ def test_eval_mismatched_model_and_data_fails_cleanly(model_dir, tmp_path, capsy
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_eval_with_a_split_id_beyond_int64_fails_cleanly(data_dir, model_dir, tmp_path,
+                                                          capsys):
+    ids = data_dir / SPLIT_FILES[0]
+    ids.write_text("9223372036854775808\n" + ids.read_text())
+    code = main(["eval", "--model", str(model_dir / "i2t.model"),
+                 "--data", str(data_dir), "--out", str(tmp_path / "e.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {ids}:1: index does not fit in 64 bits: '9223372036854775808'"]
+
+
 @pytest.mark.parametrize("command", ["encode", "eval", "retrieve"])
 def test_model_on_a_split_with_another_train_size_fails_cleanly(
         command, model_dir, tmp_path, capsys):
@@ -528,7 +538,7 @@ def test_importing_xmhash_loads_no_scipy(module):
 
 def test_synth_encode_eval_retrieve_load_no_scipy(tmp_path, model_dir):
     # the child writes the same dataset the model was trained on (synth is
-    # deterministic), then queries it; only train and gradcheck need scipy
+    # deterministic), then queries it
     data, model = tmp_path / "child_data", str(model_dir / "i2t.model")
     program = f"""
 import sys
@@ -544,6 +554,23 @@ print({SCIPY_MODULES})
                          capture_output=True, text=True).stdout
     assert out.strip().splitlines()[-1] == "[]"
     assert (tmp_path / "eval.csv").is_file() and (tmp_path / "hits.csv").is_file()
+
+
+def test_train_and_gradcheck_load_no_scipy(tmp_path):
+    data, models = tmp_path / "data", tmp_path / "models"
+    program = f"""
+import sys
+from xmhash.cli import main
+assert main({synth_argv(data)!r}) == 0
+assert main({["train", "--data", str(data), "--out", str(models), "--task", "both",
+              *TRAIN_FLAGS]!r}) == 0
+assert main(["gradcheck", "--trials", "2"]) == 0
+print({SCIPY_MODULES})
+"""
+    out = subprocess.run([sys.executable, "-c", program], env=child_env("1"), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"
+    assert sorted(p.name for p in models.glob("*.model")) == ["i2t.model", "t2i.model"]
 
 
 # --- gradcheck -------------------------------------------------------------------

@@ -372,6 +372,24 @@ def test_split_load_rejects_garbage_line(tmp_path):
         load_split(tmp_path)
 
 
+@pytest.mark.parametrize("line", ["9223372036854775808", "-9223372036854775809",
+                                  "100000000000000000000"])
+def test_split_load_rejects_ids_beyond_int64(tmp_path, line):
+    split = make_split(10, 2, 4, seed=0)
+    save_split(split, tmp_path)
+    (tmp_path / SPLIT_FILES[0]).write_text(f"1\n{line}\n")
+    with pytest.raises(LoadError, match=f"{SPLIT_FILES[0]}:2: .*64 bits"):
+        load_split(tmp_path)
+
+
+def test_split_load_accepts_the_int64_extremes(tmp_path):
+    (tmp_path / SPLIT_FILES[0]).write_text("9223372036854775807\n-9223372036854775808\n")
+    for name in SPLIT_FILES[1:]:
+        (tmp_path / name).write_text("0\n")
+    split = load_split(tmp_path)
+    assert split.query_ids.tolist() == [2**63 - 1, -(2**63)]
+
+
 def test_split_load_rejects_empty_file(tmp_path):
     split = make_split(10, 2, 4, seed=0)
     save_split(split, tmp_path)

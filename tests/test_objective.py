@@ -2,14 +2,18 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from conftest import random_state
 from xmhash.data import PairwiseSimilarity
 from xmhash.errors import ContractError
 from xmhash.objective import (
+    _CHUNK,
+    _pairwise_grad,
     HyperParams,
     ObjectiveState,
     check_state,
@@ -302,6 +306,44 @@ def test_text_grad_is_image_grad_on_the_swapped_state():
         image = image_feature_grad(state, HyperParams(qi, qt, lw, bw, task="i2t"), sim, batch)
         text = text_feature_grad(swapped, HyperParams(qt, qi, lw, bw, task="t2i"), sim, batch)
         np.testing.assert_allclose(text, image, rtol=1e-12, atol=0)
+
+
+def pairwise_grad_oracle(own, other, sim, batch):
+    """The likelihood gradient through scipy's expit, chunked as the kernel is."""
+    out = np.zeros((own.shape[0], batch.size))
+    for j0 in range(0, own.shape[1], _CHUNK):
+        cols = np.arange(j0, min(j0 + _CHUNK, own.shape[1]))
+        phi = 0.5 * own[:, batch].T @ other[:, cols]
+        out += 0.5 * other[:, cols] @ (expit(phi) - sim.block(batch, cols)).T
+    return out
+
+
+def random_blocks(seed, r, n, c, scale):
+    rng = np.random.default_rng(seed)
+    own = scale * rng.standard_normal((r, n))
+    other = scale * rng.standard_normal((r, n))
+    sim = PairwiseSimilarity((rng.random((c, n)) < 0.4).astype(np.uint8))
+    return own, other, sim, rng.choice(n, 37, replace=False)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pairwise_grad_matches_expit_oracle(seed):
+    # n spans three column chunks, the last one partial
+    own, other, sim, batch = random_blocks(seed, 4, 2 * _CHUNK + 76, 3, 2.0)
+    np.testing.assert_allclose(_pairwise_grad(own, other, sim, batch),
+                               pairwise_grad_oracle(own, other, sim, batch), rtol=1e-14)
+
+
+def test_pairwise_grad_saturated_scores_stay_finite_and_quiet():
+    # scores near +-1e3: exp(-phi) overflows to inf where phi is very negative
+    own, other, sim, batch = random_blocks(3, 2, 300, 3, 25.0)
+    phi = 0.5 * own[:, batch].T @ other
+    assert np.abs(phi).max() > 1e3 and phi.min() < -800
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grad = _pairwise_grad(own, other, sim, batch)
+    assert np.all(np.isfinite(grad))
+    np.testing.assert_allclose(grad, pairwise_grad_oracle(own, other, sim, batch), rtol=1e-14)
 
 
 def test_label_term_applies_only_to_query_side():
