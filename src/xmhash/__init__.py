@@ -8,28 +8,22 @@ with bit-packed Hamming distances.
 
 from .data import (
     MultiModalDataset, PairwiseSimilarity, SplitSpec,
-    load_dataset, load_split, make_split, save_dataset, save_split,
-    similarity, synth,
+    load_dataset, load_split, make_split, save_dataset, save_split, synth,
 )
 from .errors import ContractError, LoadError, NumericalError
-from .evaluation import (
-    EvalReport, average_precision, emit_csv, evaluate, welch_t_test,
-)
+from .evaluation import EvalReport, emit_csv, evaluate
 from .gradcheck import run_suite
 from .hamming import (
     CodeMatrix, RetrievalIndex, encode_database, encode_queries,
-    hamming_distance, pack_signs, read_codes, topk, unpack_codes, write_codes,
+    pack_signs, read_codes, unpack_codes, write_codes,
 )
-from .mlp import (
-    GradBuffer, Layer, MlpEncoder, backward, default_image_encoder,
-    default_text_encoder, forward, glorot_mlp, sgd_step,
-)
+from .mlp import Layer, MlpEncoder, backward, forward, glorot_mlp, sgd_step
 from .objective import (
     HyperParams, ObjectiveState, image_feature_grad, objective_value,
-    pairwise_nll, softplus, text_feature_grad,
+    pairwise_nll, text_feature_grad,
 )
 from .training import (
-    TaskModel, TrainConfig, load_model, save_model, train_both, train_task,
+    TaskModel, TrainConfig, load_model, save_model, train_task,
     update_codes, update_projection,
 )
 

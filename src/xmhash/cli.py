@@ -37,24 +37,37 @@ PRESETS = {
 DEFAULT_PRESET = "mirflickr"
 
 
-def _positive_int(s: str) -> int:
-    try:
-        v = int(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {s!r}")
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
-    return v
+def _int_at_least(low: int):
+    def parse(s: str) -> int:
+        try:
+            v = int(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {s!r}")
+        if v < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {v}")
+        return v
+    return parse
 
 
-def _nonneg_float(s: str) -> float:
-    try:
-        v = float(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {s!r}")
-    if not np.isfinite(v) or v < 0:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {s}")
-    return v
+_positive_int = _int_at_least(1)
+_seed = _int_at_least(0)  # numpy's generators reject a negative seed
+
+
+def _finite_float(strict: bool):
+    def parse(s: str) -> float:
+        try:
+            v = float(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {s!r}")
+        if not (np.isfinite(v) and (v > 0 if strict else v >= 0)):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>' if strict else '>='} 0, got {s}")
+        return v
+    return parse
+
+
+_nonneg_float = _finite_float(strict=False)
+_positive_float = _finite_float(strict=True)
 
 
 def _lr(s: str) -> float:
@@ -332,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="text feature dimension")
     sp.add_argument("--c", type=_positive_int, required=True, help="label count")
     sp.add_argument("--noise", type=_nonneg_float, default=0.1)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--name", default="synth")
     sp.add_argument("--n-query", type=_positive_int, default=None,
                     help="query set size (default n/10)")
@@ -350,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--batch-size", type=_positive_int, default=128)
     tp.add_argument("--lr-image", type=_lr, default=1e-2)
     tp.add_argument("--lr-text", type=_lr, default=1e-2)
-    tp.add_argument("--seed", type=int, default=0)
+    tp.add_argument("--seed", type=_seed, default=0)
     tp.add_argument("--full-batch", action="store_true",
                     help="one batch per sweep covering the whole train set")
     tp.add_argument("--hidden", type=_positive_int, default=512,
@@ -399,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gp = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     gp.add_argument("--trials", type=_positive_int, default=50)
-    gp.add_argument("--seed", type=int, default=0)
-    gp.add_argument("--tol", type=float, default=1e-4)
+    gp.add_argument("--seed", type=_seed, default=0)
+    gp.add_argument("--tol", type=_positive_float, default=1e-4)
     gp.set_defaults(func=cmd_gradcheck)
 
     return p

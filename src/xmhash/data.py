@@ -4,7 +4,7 @@ A dataset couples three aligned blocks: image features (n x d_x), text
 features (n x d_y), and a binary label matrix (c x n). Two instances are
 similar when they share at least one label. The n x n similarity matrix is
 never materialized; consumers go through PairwiseSimilarity, which serves
-single pairs and row/column blocks computed on demand.
+row/column blocks computed on demand.
 
 Disk layout of a dataset directory:
     manifest.json   fields exactly: name, n, d_x, d_y, c,
@@ -85,16 +85,6 @@ class MultiModalDataset:
             raise ContractError(f"instance {int(empty[0])} has no labels")
 
 
-def similarity(labels: np.ndarray, i: int, j: int) -> int:
-    """1 when instances i and j share at least one label, else 0."""
-    lab = np.asarray(labels)
-    n = lab.shape[1]
-    for name, idx in (("i", i), ("j", j)):
-        if not 0 <= idx < n:
-            raise ContractError(f"instance id {name}={idx} out of range [0, {n})")
-    return int(np.any(lab[:, i].astype(bool) & lab[:, j].astype(bool)))
-
-
 class PairwiseSimilarity:
     """On-demand similarity oracle; never builds the full n x n matrix."""
 
@@ -111,12 +101,6 @@ class PairwiseSimilarity:
         if ids.size and (ids.min() < 0 or ids.max() >= self.n):
             bad = ids[(ids < 0) | (ids >= self.n)][0]
             raise ContractError(f"{what} id {int(bad)} out of range [0, {self.n})")
-
-    def pair(self, i: int, j: int) -> int:
-        for name, idx in (("i", i), ("j", j)):
-            if not 0 <= idx < self.n:
-                raise ContractError(f"instance id {name}={idx} out of range [0, {self.n})")
-        return int(self._labels[:, i] @ self._labels[:, j] > 0.0)
 
     def block(self, rows, cols=None) -> np.ndarray:
         """Similarity sub-matrix for the given row/column instance ids.

@@ -1,4 +1,4 @@
-"""Retrieval metrics over Hamming rankings, CSV emission, and a Welch test.
+"""Retrieval metrics over Hamming rankings, and their CSV report.
 
 A query's ranking is the whole database sorted by (Hamming distance,
 database id) ascending, as hamming.ranked produces it a tile of queries at
@@ -18,7 +18,6 @@ from .hamming import CodeMatrix, RetrievalIndex, ranked
 # two-sample significance is a Welch (unequal-variance) t-test; the choice
 # is stamped into every report header
 TTEST_NAME = "welch"
-ALPHA = 0.05
 
 
 @dataclass(frozen=True)
@@ -30,16 +29,6 @@ class EvalReport:
     per_query_ap: np.ndarray
     n_query: int
     n_db: int
-
-
-def average_precision(ranked_rel) -> float:
-    """AP of one ranked 0/1 relevance list; 0 when nothing is relevant."""
-    rel = np.asarray(ranked_rel, dtype=np.float64).ravel()
-    if rel.size == 0:
-        raise ContractError("ranking is empty")
-    if not np.isin(rel, (0.0, 1.0)).all():
-        raise ContractError("relevance entries must be 0 or 1")
-    return _ap(np.flatnonzero(rel))
 
 
 def _ap(pos: np.ndarray) -> float:
@@ -107,28 +96,6 @@ def evaluate(index: RetrievalIndex, query_codes: CodeMatrix,
         n_query=query_codes.n,
         n_db=n_db,
     )
-
-
-def welch_t_test(ap_a, ap_b):
-    """Welch two-sample t-test on per-query AP lists.
-
-    Returns (t, p, h) with h = 1 when p < 0.05. Requires two or more
-    samples per side and nonzero variance in at least one list.
-    """
-    from scipy.special import stdtr
-
-    a = np.asarray(ap_a, dtype=np.float64).ravel()
-    b = np.asarray(ap_b, dtype=np.float64).ravel()
-    if a.size < 2 or b.size < 2:
-        raise ContractError("each AP list needs at least two entries")
-    va, vb = a.var(ddof=1), b.var(ddof=1)
-    if va == 0.0 and vb == 0.0:
-        raise ContractError("both AP lists have zero variance")
-    sa, sb = va / a.size, vb / b.size
-    t = (a.mean() - b.mean()) / np.sqrt(sa + sb)
-    dof = (sa + sb) ** 2 / (sa ** 2 / (a.size - 1) + sb ** 2 / (b.size - 1))
-    p = 2.0 * float(stdtr(dof, -abs(t)))
-    return float(t), p, int(p < ALPHA)
 
 
 def emit_csv(report: EvalReport, path) -> Path:

@@ -107,18 +107,6 @@ class CodeMatrix:
             raise ContractError("packed words out of sync with signs")
 
 
-def hamming_distance(a: np.ndarray, b: np.ndarray, r: int) -> int:
-    """Hamming distance between two packed codes of the same length r."""
-    a = np.asarray(a, dtype=np.uint64).ravel()
-    b = np.asarray(b, dtype=np.uint64).ravel()
-    words = (r + 63) // 64
-    if a.size != words or b.size != words:
-        raise ContractError(
-            f"packed codes must have {words} words for r={r}, got {a.size} and {b.size}"
-        )
-    return int(np.bitwise_count(a ^ b).sum())
-
-
 def distances_to_all(packed_db: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Hamming distances from packed queries to every database row.
 
@@ -163,14 +151,6 @@ def ranked(index: "RetrievalIndex", query_packed: np.ndarray):
             order = by_id[order]
             dists[:, by_id] = dists.copy()  # back to index positions
         yield rows, order, dists
-
-
-def topk(db: "RetrievalIndex", query_packed: np.ndarray, k: int) -> np.ndarray:
-    """Ids of the k nearest database items; ties broken by ascending id."""
-    if not (1 <= k <= db.codes.n):
-        raise ContractError(f"k must be in [1, {db.codes.n}], got {k}")
-    [(_, order, _)] = ranked(db, np.asarray(query_packed).reshape(1, -1))
-    return db.ids[order[0, :k]]
 
 
 @dataclass(frozen=True)

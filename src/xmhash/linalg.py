@@ -1,7 +1,7 @@
-"""Dense float64 matrix kernel used by every numerical module.
+"""Cholesky-based solver for symmetric positive definite systems.
 
-Thin, validated wrappers around numpy/BLAS plus a Cholesky-based solver
-for symmetric positive definite systems. The solver owns its own
+The trainer's ridge projection update solves with it. Its inputs are
+coerced to float64 and checked finite first. The solver owns its own
 factorization loop so that a failed pivot can be reported by index
 instead of a generic library error.
 
@@ -11,7 +11,7 @@ threading costs more than it saves, and a threaded GEMM may sum in another
 order, so model bytes would depend on the machine's thread setting and on
 which module imported numpy first. Importing this module pins numpy's
 OpenBLAS, and scipy's too if scipy.linalg is already loaded by the host
-program. xmhash itself never imports scipy.linalg: the triangular solves
+program. xmhash itself never imports scipy: the triangular solves
 are substitutions over the c x c factor, in numpy. A build whose library
 lacks the OpenBLAS entry point is left as found.
 """
@@ -55,12 +55,6 @@ def check_finite(a: np.ndarray, name: str = "array") -> None:
     if not np.all(np.isfinite(a)):
         bad = int(np.flatnonzero(~np.isfinite(a).ravel())[0])
         raise NumericalError(f"{name} contains a non-finite entry (flat index {bad})")
-
-
-def row_sums(m) -> np.ndarray:
-    """Sum over columns, one value per row."""
-    m = as_matrix(m, "row_sums input")
-    return m.sum(axis=1)
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:

@@ -78,8 +78,9 @@ class GradBuffer:
 
 
 def forward(enc: MlpEncoder, batch: np.ndarray):
-    """Run the encoder; returns ((out_dim, batch) outputs, tape)."""
-    enc.validate()
+    """Run the encoder; returns ((out_dim, batch) outputs, tape).
+
+    enc is taken as valid: it was checked where it was built or stepped."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2:
         raise ContractError(f"batch must be 2-D (rows are instances), got ndim={x.ndim}")
@@ -169,11 +170,3 @@ def glorot_mlp(dims, seed: int, hidden_activation: str = "relu") -> MlpEncoder:
     enc = MlpEncoder(tuple(layers))
     enc.validate()
     return enc
-
-
-def default_image_encoder(d_x: int, r: int, seed: int, hidden_dim: int = 512) -> MlpEncoder:
-    return glorot_mlp((d_x, hidden_dim, r), seed)
-
-
-def default_text_encoder(d_y: int, r: int, seed: int, hidden_dim: int = 512) -> MlpEncoder:
-    return glorot_mlp((d_y, hidden_dim, r), seed)

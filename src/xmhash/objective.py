@@ -19,7 +19,6 @@ import numpy as np
 
 from .data import PairwiseSimilarity
 from .errors import ContractError, NumericalError
-from .linalg import row_sums
 
 TASKS = ("i2t", "t2i")
 
@@ -105,7 +104,8 @@ def pairwise_nll(img_feats: np.ndarray, txt_feats: np.ndarray,
 
     Pair (i, j) scores half the inner product of image embedding i and text
     embedding j; the term is softplus(score) - overlap * score, summed over
-    all n^2 pairs, streamed in row blocks.
+    all n^2 pairs, streamed in row blocks. The blocks are taken as finite:
+    objective_value checks them first.
     """
     if img_feats.shape != txt_feats.shape:
         raise ContractError(
@@ -114,9 +114,6 @@ def pairwise_nll(img_feats: np.ndarray, txt_feats: np.ndarray,
     n = img_feats.shape[1]
     if sim.n != n:
         raise ContractError(f"similarity oracle covers {sim.n} instances, embeddings {n}")
-    for name, arr in (("image embeddings", img_feats), ("text embeddings", txt_feats)):
-        if not np.all(np.isfinite(arr)):
-            raise NumericalError(f"{name} contain non-finite entries")
     total = 0.0
     for i0 in range(0, n, _CHUNK):
         rows = np.arange(i0, min(i0 + _CHUNK, n))
@@ -149,8 +146,8 @@ def objective_value(state: ObjectiveState, hp: HyperParams,
             label_target = f if hp.task == "i2t" else g
         total += hp.label_weight * float(((label_target - _label_fit(state)) ** 2).sum())
     total += hp.balance_weight * (
-        float((row_sums(f) ** 2).sum())
-        + float((row_sums(g) ** 2).sum())
+        float((f.sum(axis=1) ** 2).sum())
+        + float((g.sum(axis=1) ** 2).sum())
         + float((state.proj ** 2).sum())
     )
     if not np.isfinite(total):
@@ -182,8 +179,9 @@ def _pairwise_grad(own, other, sim, batch):
 
 
 def _feature_grad(state, hp, sim, batch, side: str) -> np.ndarray:
-    hp.validate()
-    check_state(state, binary_codes=False)
+    """The state's blocks are taken as well formed and finite: the trainer
+    validates hp once and each block where it is made (forward,
+    update_codes, update_projection)."""
     own, other = state.image_feats, state.text_feats
     quant, query_task = hp.quant_image, "i2t"
     if side == "text":
@@ -197,7 +195,7 @@ def _feature_grad(state, hp, sim, batch, side: str) -> np.ndarray:
     grad += 2.0 * quant * (own[:, batch] - state.codes[:, batch])
     if hp.label_weight > 0 and hp.task == query_task:
         grad += 2.0 * hp.label_weight * (own[:, batch] - _label_fit(state)[:, batch])
-    grad += 2.0 * hp.balance_weight * row_sums(own)[:, None]
+    grad += 2.0 * hp.balance_weight * own.sum(axis=1)[:, None]
     _check_grad(grad)
     return grad
 

@@ -33,10 +33,7 @@ from .data import MultiModalDataset, PairwiseSimilarity, SplitSpec
 from .errors import ContractError, LoadError, NumericalError
 from .hamming import CodeMatrix
 from .linalg import spd_solve
-from .mlp import (
-    ACTIVATIONS, Layer, MlpEncoder, backward,
-    default_image_encoder, default_text_encoder, forward, sgd_step,
-)
+from .mlp import ACTIVATIONS, Layer, MlpEncoder, backward, forward, glorot_mlp, sgd_step
 from .objective import (
     HyperParams, ObjectiveState, TASKS, image_feature_grad, objective_value,
     text_feature_grad,
@@ -96,6 +93,8 @@ class TrainConfig:
                 )
         if self.variant not in VARIANTS:
             raise ContractError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if self.hidden_dim < 1:
             raise ContractError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.early_stop_tol <= 0:
@@ -212,8 +211,8 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
     # v1 regresses codes, not embeddings, so its encoder sweeps are label-free
     hp_sweep = replace(hp, label_weight=0.0) if cfg.variant == "v1" else hp
 
-    img_enc = default_image_encoder(ds.d_x, r, seed=cfg.seed + 1, hidden_dim=cfg.hidden_dim)
-    txt_enc = default_text_encoder(ds.d_y, r, seed=cfg.seed + 2, hidden_dim=cfg.hidden_dim)
+    img_enc = glorot_mlp((ds.d_x, cfg.hidden_dim, r), cfg.seed + 1)
+    txt_enc = glorot_mlp((ds.d_y, cfg.hidden_dim, r), cfg.seed + 2)
     feats_img, _ = forward(img_enc, x)
     feats_txt, _ = forward(txt_enc, y)
 
@@ -310,33 +309,17 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
                 stall = 0
         prev_obj = obj
 
-    final_codes = (CodeMatrix.from_real(state.codes) if cfg.variant == "v3"
-                   else CodeMatrix.from_signs(state.codes.astype(np.int8)))
     return TaskModel(
         task=hp.task,
         variant=cfg.variant,
         image_encoder=img_enc,
         text_encoder=txt_enc,
         proj=state.proj,
-        codes=final_codes,
+        codes=CodeMatrix.from_real(state.codes),  # v3's real codes; +/-1 stay as they are
         hp=hp,
         train_log=tuple(log),
         substeps=tuple(substeps),
     )
-
-
-def train_both(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
-               hp_i2t: HyperParams, hp_t2i: HyperParams) -> dict:
-    """Train the two directions independently (sequentially; they share no
-    state, so this equals any concurrent schedule). `xmhash train --task
-    both` relies on that: it trains t2i in a forked child process while it
-    trains i2t."""
-    if hp_i2t.task != "i2t" or hp_t2i.task != "t2i":
-        raise ContractError("hyperparameter tasks must match their direction")
-    return {
-        "i2t": train_task(ds, split, cfg, hp_i2t),
-        "t2i": train_task(ds, split, cfg, hp_t2i),
-    }
 
 
 # --- model persistence ----------------------------------------------------
@@ -467,9 +450,8 @@ def load_model(path) -> TaskModel:
     if img_enc.output_dim != r or txt_enc.output_dim != r:
         raise LoadError("model file encoder output dims disagree with header")
     try:
-        for arr, name in ((proj, "projection"),):
-            if not np.all(np.isfinite(arr)):
-                raise LoadError(f"model file {name} has non-finite entries")
+        if not np.all(np.isfinite(proj)):
+            raise LoadError("model file projection has non-finite entries")
         hp.validate()
     except ContractError as exc:
         raise LoadError(f"model file hyperparameters invalid: {exc}") from exc

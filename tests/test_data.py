@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import pair, similarity
 from xmhash.data import (
     MANIFEST_NAME,
     SPLIT_FILES,
@@ -14,7 +15,6 @@ from xmhash.data import (
     make_split,
     save_dataset,
     save_split,
-    similarity,
     synth,
 )
 from xmhash.errors import ContractError, LoadError
@@ -66,7 +66,7 @@ def test_pairwise_pair_matches_similarity():
     sim = PairwiseSimilarity(lab)
     for i in range(7):
         for j in range(7):
-            assert sim.pair(i, j) == similarity(lab, i, j)
+            assert pair(sim, i, j) == similarity(lab, i, j)
 
 
 def test_pairwise_block_matches_pair():
@@ -79,7 +79,7 @@ def test_pairwise_block_matches_pair():
     assert blk.shape == (2, 3) and blk.dtype == np.float64
     for a, i in enumerate(rows):
         for b, j in enumerate(cols):
-            assert blk[a, b] == sim.pair(i, j)
+            assert blk[a, b] == pair(sim, i, j)
 
 
 def test_pairwise_block_all_columns_default():
@@ -93,7 +93,7 @@ def test_pairwise_block_all_columns_default():
 def test_pairwise_rejects_out_of_range_ids():
     sim = PairwiseSimilarity(labels_from_rows([[1, 0], [0, 1]]))
     with pytest.raises(ContractError, match="out of range"):
-        sim.pair(2, 0)
+        pair(sim, 2, 0)
     with pytest.raises(ContractError, match="out of range"):
         sim.block([0, 2])
     with pytest.raises(ContractError, match="out of range"):

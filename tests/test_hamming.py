@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference import hamming_distance, topk
 from xmhash import hamming
 from xmhash.data import SplitSpec
 from xmhash.errors import ContractError, LoadError
@@ -15,11 +16,9 @@ from xmhash.hamming import (
     encode_database,
     encode_queries,
     encode_with,
-    hamming_distance,
     pack_signs,
     ranked,
     read_codes,
-    topk,
     unpack_codes,
     write_codes,
 )

@@ -10,31 +10,7 @@ import scipy.linalg
 
 from conftest import child_env
 from xmhash.errors import ContractError, NumericalError
-from xmhash.linalg import cholesky_lower, row_sums, spd_solve
-
-
-def row_sums_oracle(m):
-    """Scalar-loop row sums."""
-    m = np.asarray(m, dtype=float)
-    out = np.zeros(m.shape[0])
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            out[i] += m[i, j]
-    return out
-
-
-def test_row_sums_hand_value():
-    assert np.array_equal(row_sums([[1.0, 2.0], [3.0, 4.0]]), [3.0, 7.0])
-
-
-def test_row_sums_zero_matrix():
-    assert np.array_equal(row_sums(np.zeros((3, 4))), np.zeros(3))
-
-
-def test_row_sums_matches_scalar_loop_oracle():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((4, 9))
-    assert np.allclose(row_sums(m), row_sums_oracle(m), rtol=0, atol=1e-12)
+from xmhash.linalg import cholesky_lower, spd_solve
 
 
 def test_spd_solve_identity_returns_rhs():

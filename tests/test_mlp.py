@@ -9,8 +9,6 @@ from xmhash.mlp import (
     Layer,
     MlpEncoder,
     backward,
-    default_image_encoder,
-    default_text_encoder,
     forward,
     glorot_mlp,
     sgd_step,
@@ -211,21 +209,21 @@ def test_sgd_rejects_non_finite_result():
 # --- constructors and validation ---------------------------------------------
 
 def test_default_text_encoder_shape():
-    enc = default_text_encoder(32, 16, 3)
+    enc = glorot_mlp((32, 512, 16), 3)
     assert len(enc.layers) == 2
     assert enc.input_dim == 32 and enc.output_dim == 16
 
 
 def test_default_encoders_deterministic():
-    a = default_image_encoder(8, 4, seed=1, hidden_dim=16)
-    b = default_image_encoder(8, 4, seed=1, hidden_dim=16)
+    a = glorot_mlp((8, 16, 4), seed=1)
+    b = glorot_mlp((8, 16, 4), seed=1)
     for la, lb in zip(a.layers, b.layers):
         assert np.array_equal(la.weights, lb.weights)
         assert np.array_equal(la.bias, lb.bias)
 
 
 def test_forward_zero_input_emits_final_bias():
-    enc = default_text_encoder(6, 3, seed=2, hidden_dim=8)
+    enc = glorot_mlp((6, 8, 3), seed=2)
     out, _ = forward(enc, np.zeros((5, 6)))
     assert np.all(out == 0.0)
 

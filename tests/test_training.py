@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import DESK_HP, child_env
+from reference import train_both
 from xmhash.data import make_split, synth
 from xmhash.errors import ContractError, LoadError, NumericalError
 from xmhash.mlp import forward
@@ -19,7 +20,6 @@ from xmhash.training import (
     TrainConfig,
     load_model,
     save_model,
-    train_both,
     train_task,
     update_codes,
     update_projection,
@@ -293,6 +293,8 @@ def test_train_config_validation():
         TrainConfig(lr_image=0.5).validate()
     with pytest.raises(ContractError, match="variant"):
         TrainConfig(variant="v9").validate()
+    with pytest.raises(ContractError, match="seed"):
+        TrainConfig(seed=-1).validate()
 
 
 # --- variants -----------------------------------------------------------------------
