@@ -12,7 +12,6 @@ import os
 import pickle
 import signal
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,15 +174,12 @@ class _Forked:
             try:
                 os.close(read_fd)
                 _die_with_parent(parent)
-                with warnings.catch_warnings(record=True) as caught:
-                    try:
-                        value = fn(*args)
-                    except BaseException as exc:
-                        value = exc
-                caught = [(str(w.message), w.category, w.filename, w.lineno)
-                          for w in caught]
+                try:
+                    value = fn(*args)
+                except BaseException as exc:
+                    value = exc
                 with open(write_fd, "wb") as fh:
-                    pickle.dump((value, caught), fh)
+                    pickle.dump(value, fh)
                 code = 0
             finally:
                 os._exit(code)
@@ -191,9 +187,9 @@ class _Forked:
         self.pipe = open(read_fd, "rb")
         self.status = None
 
-    def result(self) -> tuple:
+    def result(self):
         """Once the child ends: fn's return value, or the exception it
-        raised, and the warnings fn issued, for _replay_warnings."""
+        raised."""
         payload = self.pipe.read()
         self.pipe.close()
         self.status = os.waitpid(self.pid, 0)[1]
@@ -203,25 +199,13 @@ class _Forked:
             code = os.waitstatus_to_exitcode(self.status)
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
             return ChildProcessError(
-                f"{self.label}: child process ended without a result ({how})"), []
+                f"{self.label}: child process ended without a result ({how})")
 
     def close(self) -> None:
         self.pipe.close()
         if self.status is None:
             os.kill(self.pid, signal.SIGKILL)  # harmless if it has just ended
             self.status = os.waitpid(self.pid, 0)[1]
-
-
-def _replay_warnings(caught) -> None:
-    """Issue warnings recorded in a child as if this process had met them:
-    the same filters, and the once-per-location registry of the module
-    that issued them, decide whether each is shown."""
-    for message, category, filename, lineno in caught:
-        module = next((m for m in list(sys.modules.values())
-                       if getattr(m, "__file__", None) == filename), None)
-        registry = (None if module is None
-                    else vars(module).setdefault("__warningregistry__", {}))
-        warnings.warn_explicit(message, category, filename, lineno, registry=registry)
 
 
 def cmd_train(args) -> int:
@@ -242,13 +226,12 @@ def cmd_train(args) -> int:
     children = [_Forked(f"training {task}", train_task, ds, split, cfg,
                         _resolve_hp(args, task)) for task in tasks[1:]]
     try:
-        results = [(train_task(ds, split, cfg, _resolve_hp(args, tasks[0])), [])]
+        results = [train_task(ds, split, cfg, _resolve_hp(args, tasks[0]))]
         results += [child.result() for child in children]
     finally:
         for child in children:
             child.close()
-    for task, (model, caught) in zip(tasks, results):
-        _replay_warnings(caught)
+    for task, model in zip(tasks, results):
         if isinstance(model, BaseException):
             raise model
         model_path = save_model(model, out / f"{task}.model")

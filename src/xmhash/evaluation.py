@@ -43,14 +43,11 @@ def _ap(pos: np.ndarray) -> float:
 
 
 def evaluate(index: RetrievalIndex, query_codes: CodeMatrix,
-             query_labels: np.ndarray, ks=(), task: str = "",
-             map_cutoff: int | None = None) -> EvalReport:
+             query_labels: np.ndarray, ks=(), task: str = "") -> EvalReport:
     """mAP and precision@k for every query against the database index.
 
     ks must be strictly increasing and within [1, n_db]; an empty ks means
     mAP only. query_labels is (c, n_query) aligned with query_codes columns.
-    map_cutoff, when given, truncates each ranking to its first map_cutoff
-    entries before the average-precision computation (default: full ranking).
     """
     index.validate()
     query_codes.validate()
@@ -70,11 +67,8 @@ def evaluate(index: RetrievalIndex, query_codes: CodeMatrix,
         raise ContractError(f"every k must lie in [1, {n_db}], got {ks}")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ContractError(f"ks must be strictly increasing, got {ks}")
-    if map_cutoff is not None and not 1 <= map_cutoff <= n_db:
-        raise ContractError(f"map_cutoff must lie in [1, {n_db}], got {map_cutoff}")
 
     db_lab = index.labels.astype(np.float64)
-    cut = n_db if map_cutoff is None else map_cutoff
     ks_arr = np.array(ks, dtype=np.int64)
     ap = np.empty(query_codes.n)
     prec_sum = np.zeros(len(ks))
@@ -82,7 +76,7 @@ def evaluate(index: RetrievalIndex, query_codes: CodeMatrix,
         related = query_labels[:, rows].T.astype(np.float64) @ db_lab > 0
         for q, rel, row_order in zip(range(rows.start, rows.stop), related, order):
             pos = np.flatnonzero(rel.take(row_order))
-            ap[q] = _ap(pos[:np.searchsorted(pos, cut)])
+            ap[q] = _ap(pos)
             # precision@k: hits ranked before k, over k
             prec_sum += np.searchsorted(pos, ks_arr) / ks_arr
 

@@ -70,13 +70,14 @@ def _scaled_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
     return np.abs(analytic - numeric) / scale
 
 
-def _fd_over(arr: np.ndarray, eval_fn, h: float) -> np.ndarray:
+def _fd_over(arr: np.ndarray, eval_fn) -> np.ndarray:
     """Central finite differences of eval_fn over every entry of arr.
 
     arr is mutated in place entry by entry and restored, so it must be the
     very array eval_fn reads. Multi-index assignment keeps this correct for
     non-contiguous views (e.g. one column of a row-major matrix).
     """
+    h = DEFAULT_STEP
     grad = np.zeros(arr.shape)
     for idx in np.ndindex(arr.shape):
         orig = arr[idx]
@@ -109,7 +110,7 @@ def _random_state(rng: np.random.Generator):
     return state, sim, batch
 
 
-def _check_feature_grads(state, sim, batch, hp, tag, tol, h,
+def _check_feature_grads(state, sim, batch, hp, tag, tol,
                          image_grad_fn, text_grad_fn):
     out = []
 
@@ -124,7 +125,7 @@ def _check_feature_grads(state, sim, batch, hp, tag, tol, h,
         analytic = grad_fn(state, hp, sim, batch)
         fd = np.zeros_like(analytic)
         for pos, col in enumerate(batch):
-            fd[:, pos] = _fd_over(feats[:, col], eval_obj, h).ravel()
+            fd[:, pos] = _fd_over(feats[:, col], eval_obj).ravel()
         errs = _scaled_errors(analytic, fd)
         k = np.unravel_index(np.argmax(errs), errs.shape)
         out.append(CheckResult(
@@ -136,7 +137,7 @@ def _check_feature_grads(state, sim, batch, hp, tag, tol, h,
     return out
 
 
-def _check_encoder_chain(rng, state, sim, batch, hp, tag, tol, h,
+def _check_encoder_chain(rng, state, sim, batch, hp, tag, tol,
                          image_grad_fn, text_grad_fn):
     """Verify dObjective/dParameters through forward + backward."""
     out = []
@@ -165,7 +166,7 @@ def _check_encoder_chain(rng, state, sim, batch, hp, tag, tol, h,
                 ("W", layer.weights, buffers.weight_grads[k]),
                 ("b", layer.bias, buffers.bias_grads[k]),
             ):
-                fd = _fd_over(arr, eval_obj, h)
+                fd = _fd_over(arr, eval_obj)
                 errs = _scaled_errors(analytic, fd)
                 j = np.unravel_index(np.argmax(errs), errs.shape)
                 if errs[j] > worst_err:
@@ -182,7 +183,6 @@ def _check_encoder_chain(rng, state, sim, batch, hp, tag, tol, h,
 
 
 def run_suite(trials: int = 50, seed: int = 0, tol: float = DEFAULT_TOL,
-              step: float = DEFAULT_STEP,
               image_grad_fn=image_feature_grad,
               text_grad_fn=text_feature_grad) -> SuiteReport:
     """Run the whole verification suite.
@@ -202,7 +202,7 @@ def run_suite(trials: int = 50, seed: int = 0, tol: float = DEFAULT_TOL,
         state, sim, batch = _random_state(rng)
         tag = f"task={task} weights={corner} trial={t}"
         results.extend(_check_feature_grads(
-            state, sim, batch, hp, tag, tol, step, image_grad_fn, text_grad_fn))
+            state, sim, batch, hp, tag, tol, image_grad_fn, text_grad_fn))
         results.extend(_check_encoder_chain(
-            rng, state, sim, batch, hp, tag, tol, step, image_grad_fn, text_grad_fn))
+            rng, state, sim, batch, hp, tag, tol, image_grad_fn, text_grad_fn))
     return SuiteReport(tuple(results), tol)

@@ -90,21 +90,18 @@ def spd_solve(a, b) -> np.ndarray:
     b may have any number of right-hand-side columns. No explicit inverse
     is ever formed.
     """
-    a = as_matrix(a, "spd_solve matrix")
+    low = cholesky_lower(a)
+    n = low.shape[0]
     b_arr = np.asarray(b, dtype=np.float64)
     squeeze = b_arr.ndim == 1
     if squeeze:
         b_arr = b_arr[:, None]
     b_arr = as_matrix(b_arr, "spd_solve right-hand side")
-    if a.shape[0] != a.shape[1]:
-        raise ContractError(f"spd_solve matrix must be square, got {a.shape}")
-    if b_arr.shape[0] != a.shape[0]:
+    if b_arr.shape[0] != n:
         raise ContractError(
-            f"spd_solve shape mismatch: matrix {a.shape} vs rhs {b_arr.shape}"
+            f"spd_solve shape mismatch: matrix {low.shape} vs rhs {b_arr.shape}"
         )
-    low = cholesky_lower(a)
     # forward substitution for low y = b, then back substitution for low^T x = y
-    n = low.shape[0]
     y = np.empty_like(b_arr)
     for k in range(n):
         y[k] = (b_arr[k] - low[k, :k] @ y[:k]) / low[k, k]

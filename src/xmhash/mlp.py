@@ -151,11 +151,11 @@ def sgd_step(enc: MlpEncoder, grads: GradBuffer, lr: float) -> MlpEncoder:
     return MlpEncoder(tuple(new_layers))
 
 
-def glorot_mlp(dims, seed: int, hidden_activation: str = "relu") -> MlpEncoder:
+def glorot_mlp(dims, seed: int) -> MlpEncoder:
     """Build an encoder with Glorot-uniform weights and zero biases.
 
     dims lists layer widths input-first, e.g. (d, 512, r). Hidden layers use
-    hidden_activation; the final layer is identity.
+    relu; the final layer is identity.
     """
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ContractError(f"dims must list >= 2 positive widths, got {dims}")
@@ -165,7 +165,7 @@ def glorot_mlp(dims, seed: int, hidden_activation: str = "relu") -> MlpEncoder:
         fan_in, fan_out = dims[k], dims[k + 1]
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        act = "identity" if k == len(dims) - 2 else hidden_activation
+        act = "identity" if k == len(dims) - 2 else "relu"
         layers.append(Layer(w, np.zeros(fan_out), act))
     enc = MlpEncoder(tuple(layers))
     enc.validate()

@@ -185,6 +185,8 @@ def _relaxed_codes(img_feats: np.ndarray, txt_feats: np.ndarray,
             / (hp.quant_image + hp.quant_text))
 
 
+# no numpy warnings: each block is checked finite where it is made, and named
+@np.errstate(all="ignore")
 def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
                hp: HyperParams) -> TaskModel:
     """Learn one direction's encoders, codes, and projection.

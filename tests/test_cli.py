@@ -5,7 +5,6 @@ import signal
 import subprocess
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -244,42 +243,41 @@ def test_train_both_child_that_dies_is_an_error(data_dir, tmp_path, capsys, monk
     assert_no_child_left()
 
 
-def test_train_both_replays_t2i_warnings_in_task_order(data_dir, tmp_path, monkeypatch):
-    real = cli.train_task
-
-    def train(ds, split, cfg, hp):
-        # after training, in the process that trained: the t2i child or this one
-        model = real(ds, split, cfg, hp)
-        warnings.warn(f"{hp.task} warns", RuntimeWarning)
-        warnings.warn("both warn", RuntimeWarning)
-        return model
-
-    monkeypatch.setattr(cli, "train_task", train)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
-        assert main(train_argv(data_dir, tmp_path / "m", "both")) == 0
-    # as when t2i trains after i2t: its own warning comes second, and the one
-    # that i2t already issued from the same line is not shown again
-    assert [str(w.message) for w in caught] == ["i2t warns", "both warn", "t2i warns"]
-    assert caught[2].filename == __file__
-    assert_no_child_left()
+DIVERGING_TRAIN = ["--preset", "iaprtc12", "--lr-image", "1e-2", "--lr-text", "1e-2",
+                   "--hidden", "64", "--epochs", "5"]
+DIVERGED = "error: epoch 2, image sweep: layer 0: parameters became non-finite after step"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_diverging_train_ends_in_one_error_line(tmp_path, capsys):
-    data = tmp_path / "data"
-    assert main(["synth", "--out", str(data), "--n", "500", "--dx", "16", "--dy", "32",
+def synth_recipe(out):
+    assert main(["synth", "--out", str(out), "--n", "500", "--dx", "16", "--dy", "32",
                  "--c", "4", "--noise", "0.2", "--seed", "1",
                  "--n-query", "100", "--n-train", "400"]) == 0
+
+
+def test_diverging_train_ends_in_one_error_line(tmp_path, capsys):
+    data = tmp_path / "data"
+    synth_recipe(data)
     capsys.readouterr()
     out = tmp_path / "m"
     assert main(["train", "--data", str(data), "--out", str(out), "--task", "both",
-                 "--preset", "iaprtc12", "--lr-image", "1e-2", "--lr-text", "1e-2",
-                 "--hidden", "64", "--epochs", "5"]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "error: epoch 2, image sweep: layer 0: parameters became non-finite after step"]
+                 *DIVERGING_TRAIN]) == 1
+    assert capsys.readouterr().err.splitlines() == [DIVERGED]
     assert list(out.iterdir()) == []
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("task", ["both", "i2t"])
+def test_diverging_train_writes_one_stderr_line(task, tmp_path):
+    # a fresh interpreter under the default warning filters: the overflows
+    # that precede the divergence must not reach stderr as RuntimeWarnings
+    data, out = tmp_path / "data", tmp_path / "m"
+    synth_recipe(data)
+    proc = subprocess.run([sys.executable, "-c", CLI_MAIN, "train", "--data", str(data),
+                           "--out", str(out), "--task", task, *DIVERGING_TRAIN],
+                          env=child_env("1"), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == DIVERGED + "\n"
+    assert list(out.iterdir()) == []
 
 
 def test_killed_train_leaves_no_trainer(data_dir, tmp_path):

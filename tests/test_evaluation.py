@@ -62,7 +62,7 @@ def evaluate_oracle(index, query_codes, query_labels, ks):
     return float(np.mean(aps)), {k: prec[k] / n_q for k in ks}, aps
 
 
-def lexsort_evaluate(index, query_codes, query_labels, ks, map_cutoff=None):
+def lexsort_evaluate(index, query_codes, query_labels, ks):
     """One query at a time: a two-key lexsort by (distance, id), a relevance
     matvec, and AP/precision@k in the float operation order evaluate keeps."""
     db_lab = index.labels.astype(np.float64)
@@ -73,7 +73,7 @@ def lexsort_evaluate(index, query_codes, query_labels, ks, map_cutoff=None):
         order = np.lexsort((index.ids, dists))
         overlap = query_labels[:, q].astype(np.float64) @ db_lab
         rel = (overlap[order] > 0).astype(np.float64)
-        ap[q] = average_precision(rel if map_cutoff is None else rel[:map_cutoff])
+        ap[q] = average_precision(rel)
         for pos, k in enumerate(ks):
             prec_sum[pos] += rel[:k].mean()
     curve = tuple((k, float(prec_sum[pos] / query_codes.n)) for pos, k in enumerate(ks))
@@ -137,22 +137,22 @@ def test_evaluate_matches_brute_force_oracle():
 BLOCK = 4
 
 
-@pytest.mark.parametrize("map_cutoff", (None, 1, 7))
+@pytest.mark.parametrize("k_cut", (None, 1, 7))
 @pytest.mark.parametrize("r", (1, 4, 63, 64, 65, 128))
 @pytest.mark.parametrize("n_query", (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1))
-def test_evaluate_tiles_equal_per_query_lexsort(monkeypatch, n_query, r, map_cutoff):
+def test_evaluate_tiles_equal_per_query_lexsort(monkeypatch, n_query, r, k_cut):
+    # k_cut: a single precision@k depth besides n_db (None: the default ks)
     n_db, c = 25, 3
     monkeypatch.setattr(hamming, "TILE_ENTRIES", BLOCK * n_db)
-    rng = np.random.default_rng(1000 * r + 10 * n_query + (map_cutoff or 0))
+    rng = np.random.default_rng(1000 * r + 10 * n_query + (k_cut or 0))
     index = random_index(rng, r, n_db, c)
     # unsorted ids, so the tie order comes from ids, not storage
     index = RetrievalIndex(index.codes, index.labels, rng.permutation(100)[:n_db])
     q_codes = CodeMatrix.from_signs(random_signs(rng, r, n_query))
     q_labels = rng.integers(0, 2, size=(c, n_query)).astype(np.uint8)
-    ks = (1, 5, n_db)
-    report = evaluate(index, q_codes, q_labels, ks=ks, map_cutoff=map_cutoff)
-    want_map, want_aps, want_curve = lexsort_evaluate(index, q_codes, q_labels, ks,
-                                                      map_cutoff)
+    ks = (1, 5, n_db) if k_cut is None else (k_cut, n_db)
+    report = evaluate(index, q_codes, q_labels, ks=ks)
+    want_map, want_aps, want_curve = lexsort_evaluate(index, q_codes, q_labels, ks)
     assert report.map == want_map
     assert np.array_equal(report.per_query_ap, want_aps)
     assert report.topk_curve == want_curve
@@ -192,29 +192,6 @@ def test_evaluate_map_is_mean_of_per_query_ap():
     assert all(0.0 <= p <= 1.0 for _, p in report.topk_curve)
 
 
-def test_evaluate_map_cutoff_full_equals_default():
-    rng = np.random.default_rng(4)
-    index = random_index(rng, 8, 20, 3)
-    q_codes = CodeMatrix.from_signs(random_signs(rng, 8, 4))
-    q_labels = rng.integers(0, 2, size=(3, 4)).astype(np.uint8)
-    full = evaluate(index, q_codes, q_labels)
-    cut = evaluate(index, q_codes, q_labels, map_cutoff=20)
-    assert full.map == cut.map
-    assert np.array_equal(full.per_query_ap, cut.per_query_ap)
-
-
-def test_evaluate_map_cutoff_truncates_ranking():
-    # one query, relevant item buried at the bottom: cutting above it zeroes AP
-    signs = np.array([[1, 1, -1]], dtype=np.int8)
-    labels = np.array([[0, 0, 1]], dtype=np.uint8)
-    index = RetrievalIndex(CodeMatrix.from_signs(signs), labels,
-                           np.arange(3, dtype=np.int64))
-    q_codes = CodeMatrix.from_signs(np.array([[1]], dtype=np.int8))
-    q_labels = np.array([[1]], dtype=np.uint8)
-    assert evaluate(index, q_codes, q_labels).map == pytest.approx(1.0 / 3.0)
-    assert evaluate(index, q_codes, q_labels, map_cutoff=2).map == 0.0
-
-
 def test_evaluate_validation_errors():
     rng = np.random.default_rng(5)
     index = random_index(rng, 8, 10, 2)
@@ -230,10 +207,6 @@ def test_evaluate_validation_errors():
         evaluate(index, q_codes, q_labels, ks=(5, 11))
     with pytest.raises(ContractError, match="strictly increasing"):
         evaluate(index, q_codes, q_labels, ks=(5, 5))
-    with pytest.raises(ContractError, match="map_cutoff"):
-        evaluate(index, q_codes, q_labels, map_cutoff=0)
-    with pytest.raises(ContractError, match="map_cutoff"):
-        evaluate(index, q_codes, q_labels, map_cutoff=11)
 
 
 def test_evaluate_random_codes_map_matches_relevant_fraction():
