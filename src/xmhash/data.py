@@ -4,7 +4,7 @@ A dataset couples three aligned blocks: image features (n x d_x), text
 features (n x d_y), and a binary label matrix (c x n). Two instances are
 similar when they share at least one label. The n x n similarity matrix is
 never materialized; consumers go through PairwiseSimilarity, which serves
-row/column blocks computed on demand.
+boolean row/column blocks computed on demand from packed label bytes.
 
 Disk layout of a dataset directory:
     manifest.json   fields exactly: name, n, d_x, d_y, c,
@@ -85,6 +85,16 @@ class MultiModalDataset:
             raise ContractError(f"instance {int(empty[0])} has no labels")
 
 
+def label_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean (len_a, len_b) block: item i of a shares a label with item j
+    of b. Both hold np.packbits of (c, items) labels along axis 0, so the
+    test is a byte AND, ORed over the ceil(c / 8) byte rows."""
+    hit = a[0][:, None] & b[0]
+    for k in range(1, a.shape[0]):
+        hit |= a[k][:, None] & b[k]
+    return hit != 0
+
+
 class PairwiseSimilarity:
     """On-demand similarity oracle; never builds the full n x n matrix."""
 
@@ -94,7 +104,7 @@ class PairwiseSimilarity:
             raise ContractError("labels must be 2-D")
         if not np.isin(labels, (0, 1)).all():
             raise ContractError("label entries must be 0 or 1")
-        self._labels = labels.astype(np.float64)
+        self._packed = np.packbits(labels.astype(bool), axis=0)
         self.n = labels.shape[1]
 
     def _check_ids(self, ids: np.ndarray, what: str) -> None:
@@ -105,19 +115,17 @@ class PairwiseSimilarity:
     def block(self, rows, cols=None) -> np.ndarray:
         """Similarity sub-matrix for the given row/column instance ids.
 
-        cols=None means all instances. Returned as float64 0/1, shape
+        cols=None means all instances. Returned as bool, shape
         (len(rows), n_cols).
         """
         rows = np.asarray(rows, dtype=np.intp)
         self._check_ids(rows, "row")
-        lr = self._labels[:, rows]
-        if cols is None:
-            lc = self._labels
-        else:
+        lc = self._packed
+        if cols is not None:
             cols = np.asarray(cols, dtype=np.intp)
             self._check_ids(cols, "column")
-            lc = self._labels[:, cols]
-        return (lr.T @ lc > 0.0).astype(np.float64)
+            lc = lc[:, cols]
+        return label_overlap(self._packed[:, rows], lc)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import label_overlap
 from .errors import ContractError
 from .hamming import CodeMatrix, RetrievalIndex, ranked
 
@@ -68,12 +69,13 @@ def evaluate(index: RetrievalIndex, query_codes: CodeMatrix,
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ContractError(f"ks must be strictly increasing, got {ks}")
 
-    db_lab = index.labels.astype(np.float64)
+    db_lab = np.packbits(index.labels.astype(bool), axis=0)
+    query_lab = np.packbits(query_labels.astype(bool), axis=0)
     ks_arr = np.array(ks, dtype=np.int64)
     ap = np.empty(query_codes.n)
     prec_sum = np.zeros(len(ks))
     for rows, order, _ in ranked(index, query_codes.packed):
-        related = query_labels[:, rows].T.astype(np.float64) @ db_lab > 0
+        related = label_overlap(query_lab[:, rows], db_lab)
         for q, rel, row_order in zip(range(rows.start, rows.stop), related, order):
             pos = np.flatnonzero(rel.take(row_order))
             ap[q] = _ap(pos)

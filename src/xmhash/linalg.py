@@ -87,16 +87,12 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
 def spd_solve(a, b) -> np.ndarray:
     """Solve a x = b for symmetric positive definite a via Cholesky.
 
-    b may have any number of right-hand-side columns. No explicit inverse
-    is ever formed.
+    b is 2-D, with any number of right-hand-side columns. No explicit
+    inverse is ever formed.
     """
     low = cholesky_lower(a)
     n = low.shape[0]
-    b_arr = np.asarray(b, dtype=np.float64)
-    squeeze = b_arr.ndim == 1
-    if squeeze:
-        b_arr = b_arr[:, None]
-    b_arr = as_matrix(b_arr, "spd_solve right-hand side")
+    b_arr = as_matrix(b, "spd_solve right-hand side")
     if b_arr.shape[0] != n:
         raise ContractError(
             f"spd_solve shape mismatch: matrix {low.shape} vs rhs {b_arr.shape}"
@@ -109,4 +105,4 @@ def spd_solve(a, b) -> np.ndarray:
     for k in reversed(range(n)):
         x[k] = (y[k] - low[k + 1 :, k] @ x[k + 1 :]) / low[k, k]
     check_finite(x, "spd_solve result")
-    return x[:, 0] if squeeze else x
+    return x

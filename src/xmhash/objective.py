@@ -87,15 +87,20 @@ def check_state(state: ObjectiveState, binary_codes: bool = True) -> None:
         raise ContractError("codes must be +/-1")
 
 
-def softplus(x):
-    """log(1 + exp(x)) without overflow for large |x|.
+def softplus(x, out=None):
+    """log(1 + exp(x)) without overflow for large |x|, into out if given.
 
     exp(-|x|) may gradually underflow to zero for huge |x|; that is the
     intended limit, so the underflow signal is suppressed locally.
     """
     x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x) if out is None else out
+    np.negative(np.abs(x, out=out), out=out)
     with np.errstate(under="ignore"):
-        return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def pairwise_nll(img_feats: np.ndarray, txt_feats: np.ndarray,
@@ -104,8 +109,8 @@ def pairwise_nll(img_feats: np.ndarray, txt_feats: np.ndarray,
 
     Pair (i, j) scores half the inner product of image embedding i and text
     embedding j; the term is softplus(score) - overlap * score, summed over
-    all n^2 pairs, streamed in row blocks. The blocks are taken as finite:
-    objective_value checks them first.
+    all n^2 pairs, streamed in row blocks through two buffers made once per
+    call. The blocks are taken as finite: objective_value checks them first.
     """
     if img_feats.shape != txt_feats.shape:
         raise ContractError(
@@ -114,12 +119,14 @@ def pairwise_nll(img_feats: np.ndarray, txt_feats: np.ndarray,
     n = img_feats.shape[1]
     if sim.n != n:
         raise ContractError(f"similarity oracle covers {sim.n} instances, embeddings {n}")
+    phi_buf, work_buf = np.empty((2, min(_CHUNK, n), n))
     total = 0.0
     for i0 in range(0, n, _CHUNK):
         rows = np.arange(i0, min(i0 + _CHUNK, n))
-        phi = 0.5 * img_feats[:, rows].T @ txt_feats
-        s = sim.block(rows)
-        total += float(softplus(phi).sum() - (s * phi).sum())
+        phi, work = phi_buf[:rows.size], work_buf[:rows.size]
+        np.matmul(0.5 * img_feats[:, rows].T, txt_feats, out=phi)
+        fit = np.multiply(sim.block(rows), phi, out=work).sum()
+        total += float(softplus(phi, out=work).sum() - fit)
     return total
 
 

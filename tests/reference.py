@@ -5,7 +5,9 @@ combines library calls the way a user would: the AP of one ranked
 relevance list, the Hamming distance of one code pair, the top-k ids of
 one query, the similarity of one instance pair, both retrieval directions
 trained one after the other, and a Welch test on two per-query AP lists.
-Tests compare the library against them.
+Two more are the library's earlier kernels, kept as oracles: a similarity
+block as a float product of the labels, and the pairwise likelihood with
+fresh temporaries per block. Tests compare the library against them.
 """
 
 import numpy as np
@@ -98,4 +100,29 @@ def pair(sim, i: int, j: int) -> int:
     for name, idx in (("i", i), ("j", j)):
         if not 0 <= idx < sim.n:
             raise ContractError(f"instance id {name}={idx} out of range [0, {sim.n})")
-    return int(sim._labels[:, i] @ sim._labels[:, j] > 0.0)
+    return int((sim._packed[:, i] & sim._packed[:, j]).any())
+
+
+def overlap_block(labels: np.ndarray, rows, cols=None) -> np.ndarray:
+    """The similarity block as a float product of the 0/1 labels: entry
+    (a, b) is 1.0 when rows[a] and cols[b] share a label; cols=None means
+    all instances."""
+    lab = np.asarray(labels, dtype=np.float64)
+    lc = lab if cols is None else lab[:, cols]
+    return (lab[:, rows].T @ lc > 0.0).astype(np.float64)
+
+
+def pairwise_nll(img_feats: np.ndarray, txt_feats: np.ndarray, labels: np.ndarray) -> float:
+    """The pairwise likelihood as the library computed it before it reused
+    buffers: fresh temporaries per 512-row block, softplus as
+    max(phi, 0) + log1p(exp(-|phi|)), a float 0/1 similarity block."""
+    n = img_feats.shape[1]
+    total = 0.0
+    for i0 in range(0, n, 512):
+        rows = np.arange(i0, min(i0 + 512, n))
+        phi = 0.5 * img_feats[:, rows].T @ txt_feats
+        s = overlap_block(labels, rows)
+        with np.errstate(under="ignore"):
+            soft = np.maximum(phi, 0.0) + np.log1p(np.exp(-np.abs(phi)))
+        total += float(soft.sum() - (s * phi).sum())
+    return total

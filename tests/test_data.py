@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference import pair, similarity
+from reference import overlap_block, pair, similarity
 from xmhash.data import (
     MANIFEST_NAME,
     SPLIT_FILES,
@@ -76,7 +78,7 @@ def test_pairwise_block_matches_pair():
     sim = PairwiseSimilarity(lab)
     rows, cols = [1, 4], [0, 2, 5]
     blk = sim.block(rows, cols)
-    assert blk.shape == (2, 3) and blk.dtype == np.float64
+    assert blk.shape == (2, 3) and blk.dtype == np.bool_
     for a, i in enumerate(rows):
         for b, j in enumerate(cols):
             assert blk[a, b] == pair(sim, i, j)
@@ -88,6 +90,24 @@ def test_pairwise_block_all_columns_default():
     blk = sim.block([0, 1])
     assert blk.shape == (2, 3)
     assert np.array_equal(blk[:, 2], [1.0, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pairwise_block_matches_float_product(data):
+    # c up to 20 packs each item's labels into up to three bytes; at most
+    # two labels per item, so that a shared label often sits in one byte alone
+    c = data.draw(st.integers(1, 20), label="c")
+    n = data.draw(st.integers(1, 30), label="n")
+    lab = np.zeros((c, n), dtype=np.uint8)
+    for i in range(n):
+        lab[sorted(data.draw(st.sets(st.integers(0, c - 1), max_size=2))), i] = 1
+    ids = st.lists(st.integers(0, n - 1), max_size=12)
+    rows = data.draw(ids, label="rows")
+    cols = data.draw(st.none() | ids, label="cols")
+    blk = PairwiseSimilarity(lab).block(rows, cols)
+    assert blk.dtype == np.bool_
+    assert np.array_equal(blk, overlap_block(lab, rows, cols))
 
 
 def test_pairwise_rejects_out_of_range_ids():

@@ -42,10 +42,15 @@ def test_spd_solve_recovers_known_solution():
     assert np.linalg.norm(x - x_true) / np.linalg.norm(x_true) < 1e-8
 
 
-def test_spd_solve_one_dimensional_rhs():
-    x = spd_solve(np.eye(3) * 4.0, np.array([4.0, 8.0, 12.0]))
-    assert x.shape == (3,)
-    assert np.allclose(x, [1.0, 2.0, 3.0], rtol=0, atol=1e-14)
+def test_spd_solve_single_column_rhs():
+    x = spd_solve(np.eye(3) * 4.0, np.array([[4.0], [8.0], [12.0]]))
+    assert x.shape == (3, 1)
+    assert np.allclose(x, [[1.0], [2.0], [3.0]], rtol=0, atol=1e-14)
+
+
+def test_spd_solve_rejects_one_dimensional_rhs():
+    with pytest.raises(ContractError, match="2-D"):
+        spd_solve(np.eye(3), np.ones(3))
 
 
 @pytest.mark.parametrize("c", range(1, 9))
@@ -56,7 +61,7 @@ def test_spd_solve_matches_scipy_solve(c):
     for _ in range(20):
         q = rng.standard_normal((c, c))
         a = q.T @ q / c + np.eye(c)
-        for shape in ((c, 1), (c, 16), (c,)):
+        for shape in ((c, 1), (c, 16)):
             x_true = rng.choice((-1.0, 1.0), shape) * rng.uniform(0.5, 2.0, shape)
             b = a @ x_true
             want = scipy.linalg.solve(a, b, assume_a="pos")

@@ -10,6 +10,7 @@ from scipy.special import expit
 
 from conftest import random_state
 from reference import pair
+from reference import pairwise_nll as nll_with_fresh_temporaries
 from xmhash.data import PairwiseSimilarity
 from xmhash.errors import ContractError
 from xmhash.objective import (
@@ -103,6 +104,13 @@ def test_softplus_large_negative_underflows_quietly():
     assert 0.0 <= v < 1e-300
 
 
+def test_softplus_writes_into_out():
+    x = np.linspace(-800.0, 800.0, 9)
+    out = np.empty_like(x)
+    assert softplus(x, out=out) is out
+    assert np.array_equal(out, softplus(x))
+
+
 # --- pairwise likelihood -------------------------------------------------------
 
 def test_nll_zero_embeddings_give_n_squared_log2():
@@ -123,6 +131,24 @@ def test_nll_matches_double_loop_oracle():
     lab = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
     sim = PairwiseSimilarity(lab)
     assert pairwise_nll(f, g, sim) == pytest.approx(nll_oracle(f, g, sim), abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 20.0])
+@pytest.mark.parametrize("c", [4, 10])
+@pytest.mark.parametrize("n", [1, 63, 511, 512, 513, 1600])
+def test_nll_bits_equal_fresh_temporaries_oracle(n, c, scale):
+    # buffers reused across row blocks must give every element, and so
+    # every block sum, the same float; at scale 20, |phi| passes 745, where
+    # exp(-|phi|) underflows to zero
+    rng = np.random.default_rng(n)
+    f = scale * rng.standard_normal((16, n))
+    g = scale * rng.standard_normal((16, n))
+    lab = rng.integers(0, 2, size=(c, n)).astype(np.uint8)
+    if scale > 1.0 and n > 1:
+        assert np.abs(0.5 * f.T @ g).max() > 745.0
+    with np.errstate(all="raise"):
+        got = pairwise_nll(f, g, PairwiseSimilarity(lab))
+    assert got == nll_with_fresh_temporaries(f, g, lab)
 
 
 def test_nll_rejects_shape_mismatch():
