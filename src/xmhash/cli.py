@@ -7,10 +7,7 @@ flag validation happens at parse time.
 """
 
 import argparse
-import ctypes
 import os
-import pickle
-import signal
 import sys
 from pathlib import Path
 
@@ -20,6 +17,7 @@ from . import data as D
 from . import evaluation as E
 from . import hamming as H
 from .errors import ContractError, LoadError, NumericalError
+from .fork import Forked
 from .gradcheck import run_suite
 from .objective import HyperParams
 from .training import (
@@ -137,77 +135,6 @@ def _write_train_log(model, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-PR_SET_PDEATHSIG = 1  # linux/prctl.h
-
-
-def _die_with_parent(parent: int) -> None:
-    """Have the kernel SIGKILL this process once its parent dies, so that a
-    killed `train` leaves no trainer running. Left out where libc has no
-    prctl."""
-    prctl = getattr(ctypes.CDLL(None), "prctl", None)
-    if prctl is None:
-        return
-    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-    prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
-    if os.getppid() != parent:  # the parent died before the call
-        os._exit(1)
-
-
-class _Forked:
-    """fn(*args) running in a forked child process.
-
-    The child pickles fn's return value, or the exception fn raised,
-    through a pipe, then ends with os._exit, so it never returns into the
-    caller's frames or flushes their stdio buffers. result() reads the pipe
-    to EOF and reaps the child; close() kills and reaps a child that
-    result() has not reaped. Forking is safe here because the CLI runs no
-    other thread (OpenBLAS is pinned to one).
-    """
-
-    def __init__(self, label: str, fn, *args):
-        self.label = label
-        parent = os.getpid()
-        read_fd, write_fd = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(read_fd)
-                _die_with_parent(parent)
-                try:
-                    value = fn(*args)
-                except BaseException as exc:
-                    value = exc
-                with open(write_fd, "wb") as fh:
-                    pickle.dump(value, fh)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write_fd)
-        self.pipe = open(read_fd, "rb")
-        self.status = None
-
-    def result(self):
-        """Once the child ends: fn's return value, or the exception it
-        raised."""
-        payload = self.pipe.read()
-        self.pipe.close()
-        self.status = os.waitpid(self.pid, 0)[1]
-        try:
-            return pickle.loads(payload)
-        except Exception:
-            code = os.waitstatus_to_exitcode(self.status)
-            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-            return ChildProcessError(
-                f"{self.label}: child process ended without a result ({how})")
-
-    def close(self) -> None:
-        self.pipe.close()
-        if self.status is None:
-            os.kill(self.pid, signal.SIGKILL)  # harmless if it has just ended
-            self.status = os.waitpid(self.pid, 0)[1]
-
-
 def cmd_train(args) -> int:
     ds, split = _load_data(args.data)
     cfg = TrainConfig(
@@ -223,7 +150,7 @@ def cmd_train(args) -> int:
     # The directions share no state, so every direction after the first
     # trains in a forked child, on another core, while this process trains
     # the first. Files and lines still follow the task order.
-    children = [_Forked(f"training {task}", train_task, ds, split, cfg,
+    children = [Forked(f"training {task}", train_task, ds, split, cfg,
                         _resolve_hp(args, task)) for task in tasks[1:]]
     try:
         results = [train_task(ds, split, cfg, _resolve_hp(args, tasks[0]))]
@@ -259,21 +186,13 @@ def cmd_encode(args) -> int:
 def cmd_retrieve(args) -> int:
     model = load_model(args.model)
     ds, split = _load_data(args.data)
+    H.check_k(args.k, len(split.retrieval_ids))  # before the database is encoded
     index = H.encode_database(model, ds, split, reencode_train=args.reencode_train)
     queries = H.encode_queries(model, ds, split)
-    if not (1 <= args.k <= index.codes.n):
-        raise ContractError(f"k must lie in [1, {index.codes.n}], got {args.k}")
-    lines = ["query_id,rank,db_id,distance"]
-    for rows, order, dists in H.ranked(index, queries.packed):
-        top = order[:, : args.k]
-        hit_ids = index.ids[top].tolist()
-        hit_dists = np.take_along_axis(dists, top, axis=1).tolist()
-        for qid, ids, ds in zip(split.query_ids[rows].tolist(), hit_ids, hit_dists):
-            lines.extend(f"{qid},{rank},{i},{d}"
-                         for rank, (i, d) in enumerate(zip(ids, ds), start=1))
+    blocks = H.retrieve(index, queries, split.query_ids, args.k)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
+    out.write_text("\n".join(["query_id,rank,db_id,distance", *blocks]) + "\n")
     print(f"wrote {out} ({len(split.query_ids)} queries, top {args.k})")
     return 0
 

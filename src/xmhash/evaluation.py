@@ -1,10 +1,10 @@
 """Retrieval metrics over Hamming rankings, and their CSV report.
 
 A query's ranking is the whole database sorted by (Hamming distance,
-database id) ascending, as hamming.ranked produces it a tile of queries at
-a time. Relevance is label overlap, the same rule the trainer's similarity
-oracle uses. Average precision of a query with no relevant database item
-is defined as 0 and the query still counts in the mean.
+database id) ascending, as hamming.rank_tiles produces it a tile of
+queries at a time. Relevance is label overlap, the same rule the trainer's
+similarity oracle uses. Average precision of a query with no relevant
+database item is defined as 0 and the query still counts in the mean.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import label_overlap
 from .errors import ContractError
-from .hamming import CodeMatrix, RetrievalIndex, ranked
+from .hamming import CodeMatrix, RetrievalIndex, rank_tiles
 
 # two-sample significance is a Welch (unequal-variance) t-test; the choice
 # is stamped into every report header
@@ -32,15 +32,17 @@ class EvalReport:
     n_db: int
 
 
-def _ap(pos: np.ndarray) -> float:
+def _ap(pos: np.ndarray, counts: np.ndarray | None = None) -> float:
     """AP from the ascending ranks (0-based) of the relevant items.
 
     The hit at pos[j] is the (j+1)-th, so its precision is (j+1)/(pos[j]+1);
     the quotients are summed in rank order and divided by the hit count.
+    counts, if given, is arange(1, m + 1) for some m >= pos.size.
     """
     if pos.size == 0:
         return 0.0
-    return float((np.arange(1, pos.size + 1) / (pos + 1)).sum() / pos.size)
+    counts = np.arange(1, pos.size + 1) if counts is None else counts[: pos.size]
+    return float((counts / (pos + 1)).sum() / pos.size)
 
 
 def evaluate(index: RetrievalIndex, query_codes: CodeMatrix,
@@ -72,16 +74,20 @@ def evaluate(index: RetrievalIndex, query_codes: CodeMatrix,
     db_lab = np.packbits(index.labels.astype(bool), axis=0)
     query_lab = np.packbits(query_labels.astype(bool), axis=0)
     ks_arr = np.array(ks, dtype=np.int64)
-    ap = np.empty(query_codes.n)
-    prec_sum = np.zeros(len(ks))
-    for rows, order, _ in ranked(index, query_codes.packed):
-        related = label_overlap(query_lab[:, rows], db_lab)
-        for q, rel, row_order in zip(range(rows.start, rows.stop), related, order):
-            pos = np.flatnonzero(rel.take(row_order))
-            ap[q] = _ap(pos)
-            # precision@k: hits ranked before k, over k
-            prec_sum += np.searchsorted(pos, ks_arr) / ks_arr
+    counts = np.arange(1, n_db + 1)
 
+    def score(rows, order, _):
+        """Each query's AP and its hit counts ranked before each k."""
+        related = label_overlap(query_lab[:, rows], db_lab)
+        pos = [np.flatnonzero(rel.take(row_order)) for rel, row_order in zip(related, order)]
+        return [_ap(p, counts) for p in pos], [np.searchsorted(p, ks_arr) for p in pos]
+
+    tiles = rank_tiles(score, index, query_codes.packed)
+    ap = np.array([a for aps, _ in tiles for a in aps])
+    prec_sum = np.zeros(len(ks))
+    for _, hits in tiles:
+        for h in hits:  # in query order, as one query at a time would sum
+            prec_sum += h / ks_arr
     curve = tuple((k, float(prec_sum[i] / query_codes.n)) for i, k in enumerate(ks))
     return EvalReport(
         task=task,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .data import PairwiseSimilarity
 from .errors import ContractError, NumericalError
+from .hamming import all_pm1
 
 TASKS = ("i2t", "t2i")
 
@@ -83,7 +84,7 @@ def check_state(state: ObjectiveState, binary_codes: bool = True) -> None:
                       ("codes", b), ("projection", p)):
         if not np.all(np.isfinite(arr)):
             raise NumericalError(f"{name} contain non-finite entries")
-    if binary_codes and not np.isin(b, (-1.0, 1.0)).all():
+    if binary_codes and not all_pm1(b):
         raise ContractError("codes must be +/-1")
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import MultiModalDataset, PairwiseSimilarity, SplitSpec
 from .errors import ContractError, LoadError, NumericalError
-from .hamming import CodeMatrix
+from .hamming import CodeMatrix, all_pm1
 from .linalg import spd_solve
 from .mlp import ACTIVATIONS, Layer, MlpEncoder, backward, forward, glorot_mlp, sgd_step
 from .objective import (
@@ -45,6 +45,11 @@ LR_MIN, LR_MAX = 1e-6, 1e-1
 
 MODEL_MAGIC = b"TADC"
 MODEL_VERSION = 1
+
+# early_stop ends training after EARLY_STOP_PATIENCE epochs in a row that each
+# move the objective by at most EARLY_STOP_TOL * max(1, |objective|)
+EARLY_STOP_TOL = 1e-6
+EARLY_STOP_PATIENCE = 10
 
 
 class TrainLogRow(NamedTuple):
@@ -74,8 +79,6 @@ class TrainConfig:
     full_batch: bool = False
     hidden_dim: int = 512
     early_stop: bool = False
-    early_stop_tol: float = 1e-6
-    early_stop_patience: int = 10
     track_substeps: bool = False
 
     def validate(self) -> None:
@@ -97,10 +100,6 @@ class TrainConfig:
             raise ContractError(f"seed must be >= 0, got {self.seed}")
         if self.hidden_dim < 1:
             raise ContractError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
-        if self.early_stop_tol <= 0:
-            raise ContractError("early_stop_tol must be > 0")
-        if self.early_stop_patience < 1:
-            raise ContractError("early_stop_patience must be >= 1")
 
 
 @dataclass
@@ -303,12 +302,10 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
         log.append(TrainLogRow(epoch, obj, time.perf_counter() - tic))
 
         if cfg.early_stop and prev_obj is not None:
-            if abs(prev_obj - obj) <= cfg.early_stop_tol * max(1.0, abs(prev_obj)):
-                stall += 1
-                if stall >= cfg.early_stop_patience:
-                    break
-            else:
-                stall = 0
+            flat = abs(prev_obj - obj) <= EARLY_STOP_TOL * max(1.0, abs(prev_obj))
+            stall = stall + 1 if flat else 0
+            if stall >= EARLY_STOP_PATIENCE:
+                break
         prev_obj = obj
 
     return TaskModel(
@@ -438,7 +435,7 @@ def load_model(path) -> TaskModel:
     txt_enc = _read_encoder(rd)
     proj = rd.array("<f8", r * c, (r, c))
     signs = rd.array(np.int8, r * n, (r, n))
-    if not np.isin(signs, (-1, 1)).all():
+    if not all_pm1(signs):
         raise LoadError("model file code block has entries other than +/-1")
     (n_rows,) = rd.unpack("<I")
     log = []

@@ -14,7 +14,7 @@ import numpy as np
 
 from xmhash.errors import ContractError
 from xmhash.evaluation import _ap
-from xmhash.hamming import ranked
+from xmhash.hamming import rank_tiles
 from xmhash.training import train_task
 
 ALPHA = 0.05
@@ -68,7 +68,8 @@ def topk(db, query_packed: np.ndarray, k: int) -> np.ndarray:
     """Ids of the k nearest database items; ties broken by ascending id."""
     if not (1 <= k <= db.codes.n):
         raise ContractError(f"k must be in [1, {db.codes.n}], got {k}")
-    [(_, order, _)] = ranked(db, np.asarray(query_packed).reshape(1, -1))
+    [order] = rank_tiles(lambda rows, order, dists: order, db,
+                         np.asarray(query_packed).reshape(1, -1))
     return db.ids[order[0, :k]]
 
 

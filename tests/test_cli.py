@@ -12,7 +12,7 @@ import pytest
 
 from conftest import child_env
 from reference import average_precision
-from xmhash import cli
+from xmhash import cli, evaluation, hamming
 from xmhash.cli import main
 from xmhash.data import MANIFEST_NAME, SPLIT_FILES, load_dataset, load_split
 from xmhash.errors import NumericalError
@@ -283,31 +283,60 @@ def test_diverging_train_writes_one_stderr_line(task, tmp_path):
 def test_killed_train_leaves_no_trainer(data_dir, tmp_path):
     argv = train_argv(data_dir, tmp_path / "m", "both")
     argv[argv.index("--epochs") + 1] = "100000"
-    proc = subprocess.Popen([sys.executable, "-c", CLI_MAIN, *argv], env=child_env("1"),
+    assert_killed_command_leaves_no_child(CLI_MAIN, argv, "the t2i trainer")
+
+
+# an eval whose ranking forks (one-query tiles, FORK_ENTRIES 1) and whose
+# tiles each take a second, so the child is still ranking when the command
+# is killed
+SLOW_FORKED_RANKING = """
+import sys, time
+from xmhash import evaluation, hamming
+from xmhash.cli import main
+overlap = evaluation.label_overlap
+def slow_overlap(*args):
+    time.sleep(1)
+    return overlap(*args)
+evaluation.label_overlap = slow_overlap
+hamming.TILE_ENTRIES = hamming.FORK_ENTRIES = 1
+sys.exit(main())
+"""
+
+
+def test_killed_eval_leaves_no_ranking_child(data_dir, model_dir, tmp_path):
+    argv = ["eval", "--model", str(model_dir / "i2t.model"), "--data", str(data_dir),
+            "--out", str(tmp_path / "eval.csv")]
+    assert_killed_command_leaves_no_child(SLOW_FORKED_RANKING, argv, "the ranking child")
+
+
+def assert_killed_command_leaves_no_child(code, argv, child_name):
+    """Run `python -c code argv`, SIGKILL it once it has forked, and check
+    that its child ends too."""
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv], env=child_env("1"),
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
-    trainer = None
+    child = None
     try:
         deadline = time.monotonic() + 60
-        while trainer is None and time.monotonic() < deadline:
+        while child is None and time.monotonic() < deadline:
             if not children.exists() and proc.poll() is None:
                 pytest.skip("this kernel does not list a task's children in /proc")
             found = children.read_text().split() if children.exists() else []
-            trainer = int(found[0]) if found else None
-            assert proc.poll() is None, "train ended before it forked"
+            child = int(found[0]) if found else None
+            assert proc.poll() is None, f"{argv[0]} ended before it forked"
             time.sleep(0.05)
-        assert trainer is not None, "train never forked its t2i trainer"
+        assert child is not None, f"{argv[0]} never forked {child_name}"
         proc.kill()
         proc.wait()
         deadline = time.monotonic() + 5
-        while process_alive(trainer) and time.monotonic() < deadline:
+        while process_alive(child) and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert not process_alive(trainer), "the t2i trainer outlived its killed parent"
+        assert not process_alive(child), f"{child_name} outlived its killed parent"
     finally:
         proc.kill()
         proc.wait()
-        if trainer is not None and process_alive(trainer):
-            os.kill(trainer, signal.SIGKILL)
+        if child is not None and process_alive(child):
+            os.kill(child, signal.SIGKILL)
 
 
 def process_alive(pid):
@@ -396,7 +425,10 @@ def test_retrieve_into_a_directory_fails_cleanly(data_dir, model_dir, tmp_path, 
     assert len(err) == 1 and err[0].startswith("error:") and "directory" in err[0], err
 
 
-def test_retrieve_rejects_oversized_k(data_dir, model_dir, tmp_path, capsys):
+def test_retrieve_rejects_oversized_k(data_dir, model_dir, tmp_path, capsys, monkeypatch):
+    def encode_database(*args, **kwargs):
+        raise AssertionError("the database was encoded before k was checked")
+    monkeypatch.setattr(hamming, "encode_database", encode_database)
     code = main(["retrieve", "--model", str(model_dir / "i2t.model"),
                  "--data", str(data_dir), "--k", "51",
                  "--out", str(tmp_path / "x.csv")])
@@ -405,6 +437,52 @@ def test_retrieve_rejects_oversized_k(data_dir, model_dir, tmp_path, capsys):
 
 
 # --- eval ------------------------------------------------------------------------
+
+def test_forked_ranking_writes_the_serial_files(data_dir, model_dir, tmp_path, monkeypatch):
+    # shuffled retrieval ids, so that ties are broken by id, not by storage
+    ids = data_dir / "retrieval.ids"
+    ids.write_text("\n".join(np.random.default_rng(4).permutation(ids.read_text().split()))
+                   + "\n")
+    monkeypatch.setattr(hamming, "TILE_ENTRIES", 3 * 50)  # four tiles of 10 queries
+    written = []
+    for fork_entries in (hamming.FORK_ENTRIES, 1):
+        monkeypatch.setattr(hamming, "FORK_ENTRIES", fork_entries)
+        out = tmp_path / f"fork{fork_entries}"
+        for task in ("i2t", "t2i"):
+            model = str(model_dir / f"{task}.model")
+            assert main(["eval", "--model", model, "--data", str(data_dir), "--ks", "1,5,50",
+                         "--out", str(out / f"{task}.csv")]) == 0
+            assert main(["retrieve", "--model", model, "--data", str(data_dir), "--k", "7",
+                         "--out", str(out / f"{task}_hits.csv")]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(written[0]) == 4 and written[0] == written[1]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("how", ["raises", "dies"])
+def test_failing_ranking_child_is_one_error_line(how, data_dir, model_dir, tmp_path, capsys,
+                                                 monkeypatch):
+    parent, overlap = os.getpid(), evaluation.label_overlap
+
+    def overlap_failing_in_the_child(*args):
+        if os.getpid() != parent:
+            if how == "dies":
+                os._exit(3)
+            raise NumericalError("test failure in the ranking child")
+        return overlap(*args)
+    monkeypatch.setattr(evaluation, "label_overlap", overlap_failing_in_the_child)
+    monkeypatch.setattr(hamming, "TILE_ENTRIES", 50)
+    monkeypatch.setattr(hamming, "FORK_ENTRIES", 1)
+    out = tmp_path / "eval.csv"
+    assert main(["eval", "--model", str(model_dir / "i2t.model"), "--data", str(data_dir),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [{
+        "raises": "error: test failure in the ranking child",
+        "dies": "error: ranking queries: child process ended without a result (exit status 3)",
+    }[how]]
+    assert not out.exists()
+    assert_no_child_left()
+
 
 def test_eval_prints_map_and_writes_report(data_dir, model_dir, tmp_path, capsys):
     out = tmp_path / "eval.csv"

@@ -8,6 +8,7 @@ from reference import average_precision, welch_t_test
 from xmhash import hamming
 from xmhash.errors import ContractError
 from xmhash.evaluation import emit_csv, evaluate
+from xmhash.fork import Forked
 from xmhash.hamming import CodeMatrix, RetrievalIndex, distances_to_all, pack_signs
 
 
@@ -141,9 +142,14 @@ BLOCK = 4
 @pytest.mark.parametrize("r", (1, 4, 63, 64, 65, 128))
 @pytest.mark.parametrize("n_query", (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1))
 def test_evaluate_tiles_equal_per_query_lexsort(monkeypatch, n_query, r, k_cut):
-    # k_cut: a single precision@k depth besides n_db (None: the default ks)
+    # k_cut: a single precision@k depth besides n_db (None: the default ks).
+    # Each case is scored in one process, then with FORK_ENTRIES at 1, which
+    # cuts any ranking of two tiles or more between this process and a
+    # forked child; 2 * BLOCK + 1 queries make three tiles
     n_db, c = 25, 3
     monkeypatch.setattr(hamming, "TILE_ENTRIES", BLOCK * n_db)
+    forks = []
+    monkeypatch.setattr(hamming, "Forked", lambda *args: forks.append(args) or Forked(*args))
     rng = np.random.default_rng(1000 * r + 10 * n_query + (k_cut or 0))
     index = random_index(rng, r, n_db, c)
     # unsorted ids, so the tie order comes from ids, not storage
@@ -151,11 +157,14 @@ def test_evaluate_tiles_equal_per_query_lexsort(monkeypatch, n_query, r, k_cut):
     q_codes = CodeMatrix.from_signs(random_signs(rng, r, n_query))
     q_labels = rng.integers(0, 2, size=(c, n_query)).astype(np.uint8)
     ks = (1, 5, n_db) if k_cut is None else (k_cut, n_db)
-    report = evaluate(index, q_codes, q_labels, ks=ks)
     want_map, want_aps, want_curve = lexsort_evaluate(index, q_codes, q_labels, ks)
-    assert report.map == want_map
-    assert np.array_equal(report.per_query_ap, want_aps)
-    assert report.topk_curve == want_curve
+    for fork_entries in (hamming.FORK_ENTRIES, 1):
+        monkeypatch.setattr(hamming, "FORK_ENTRIES", fork_entries)
+        report = evaluate(index, q_codes, q_labels, ks=ks)
+        assert report.map == want_map
+        assert np.array_equal(report.per_query_ap, want_aps)
+        assert report.topk_curve == want_curve
+    assert len(forks) == (n_query > BLOCK)
 
 
 def test_evaluate_ties_break_by_database_id():

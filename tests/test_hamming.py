@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from reference import hamming_distance, topk
 from xmhash import hamming
@@ -12,12 +15,13 @@ from xmhash.errors import ContractError, LoadError
 from xmhash.hamming import (
     CodeMatrix,
     RetrievalIndex,
+    all_pm1,
     distances_to_all,
     encode_database,
     encode_queries,
     encode_with,
     pack_signs,
-    ranked,
+    rank_tiles,
     read_codes,
     unpack_codes,
     write_codes,
@@ -88,6 +92,36 @@ def test_pack_bit_convention_plus_one_is_one():
 def test_pack_rejects_non_sign_entries():
     with pytest.raises(ContractError, match=r"\+/-1"):
         pack_signs(np.array([[1, 0], [-1, 1]], dtype=np.int8))
+
+
+# per kind: its dtype, the +/-1 values it holds, and values to plant among them
+SIGN_LIKE_KINDS = (
+    (np.int8, [-1, 1], st.sampled_from([-128, -2, 0, 2, 127]) | st.integers(-128, 127)),
+    (np.int64, [-1, 1], st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)),
+    (np.uint8, [1], st.integers(0, 255)),
+    (np.float64, [-1.0, 1.0],
+     st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, np.nextafter(1.0, 2.0),
+                      np.nextafter(1.0, 0.0), np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0)])
+     | st.floats()),
+    (np.bool_, [True], st.booleans()),
+)
+
+
+@st.composite
+def sign_like(draw):
+    """A +/-1 array of one kind, with one planted value half of the time."""
+    dtype, signs, planted = draw(st.sampled_from(SIGN_LIKE_KINDS))
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=6))
+    a = np.array(draw(st.lists(st.sampled_from(signs), min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape)))), dtype=dtype).reshape(shape)
+    if draw(st.booleans()):
+        a.flat[draw(st.integers(0, a.size - 1))] = draw(planted)
+    return a
+
+
+@given(sign_like())
+def test_all_pm1_equals_isin(a):
+    assert all_pm1(a) == bool(np.isin(a, (-1, 1)).all())
 
 
 def test_code_matrix_from_real_zero_maps_to_plus_one():
@@ -176,7 +210,7 @@ def test_distances_to_all_dtype_holds_every_distance():
 def ranked_ids_and_dists(index, q_packed):
     """Ids and distances in rank order, concatenated over the ranker's tiles."""
     ids, dists, seen = [], [], 0
-    for rows, order, d in ranked(index, q_packed):
+    for rows, order, d in rank_tiles(lambda *tile: tile, index, q_packed):
         assert rows.start == seen and order.shape == (rows.stop - rows.start, index.codes.n)
         assert np.array_equal(d, distances_to_all(index.codes.packed, q_packed[rows]))
         seen = rows.stop
@@ -212,7 +246,7 @@ def test_ranked_tile_is_at_least_one_row(monkeypatch):
     monkeypatch.setattr(hamming, "TILE_ENTRIES", 1)
     rng = np.random.default_rng(15)
     index = make_index(random_signs(rng, 8, 6))
-    tiles = list(ranked(index, pack_signs(random_signs(rng, 8, 3))))
+    tiles = rank_tiles(lambda *tile: tile, index, pack_signs(random_signs(rng, 8, 3)))
     assert [t[0] for t in tiles] == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import DESK_HP, child_env
 from reference import train_both
+from xmhash import training
 from xmhash.data import make_split, synth
 from xmhash.errors import ContractError, LoadError, NumericalError
 from xmhash.mlp import forward
@@ -229,10 +230,11 @@ def test_train_divergence_reports_epoch_and_step(tiny_ds, tiny_split):
         train_task(tiny_ds, tiny_split, cfg, hp)
 
 
-def test_train_early_stop_cuts_epoch_budget(tiny_ds, tiny_split):
+def test_train_early_stop_cuts_epoch_budget(tiny_ds, tiny_split, monkeypatch):
+    monkeypatch.setattr(training, "EARLY_STOP_TOL", 1.0)
+    monkeypatch.setattr(training, "EARLY_STOP_PATIENCE", 2)
     cfg = TrainConfig(bits=8, epochs=40, lr_image=1e-6, lr_text=1e-6,
-                      seed=0, full_batch=True, hidden_dim=16,
-                      early_stop=True, early_stop_tol=1.0, early_stop_patience=2)
+                      seed=0, full_batch=True, hidden_dim=16, early_stop=True)
     model = train_task(tiny_ds, tiny_split, cfg, HyperParams(*DESK_HP, task="i2t"))
     assert len(model.train_log) < 40
 
