@@ -149,24 +149,23 @@ def cmd_train(args) -> int:
     tasks = ("i2t", "t2i") if args.task == "both" else (args.task,)
     # The directions share no state, so every direction after the first
     # trains in a forked child, on another core, while this process trains
-    # the first. Files and lines still follow the task order.
+    # the first. Each is saved as it arrives, so files and lines follow the
+    # task order, and a direction that fails leaves the earlier ones saved.
     children = [Forked(f"training {task}", train_task, ds, split, cfg,
                         _resolve_hp(args, task)) for task in tasks[1:]]
     try:
-        results = [train_task(ds, split, cfg, _resolve_hp(args, tasks[0]))]
-        results += [child.result() for child in children]
+        for task, child in zip(tasks, [None, *children]):
+            model = (child.result() if child else
+                     train_task(ds, split, cfg, _resolve_hp(args, task)))
+            model_path = save_model(model, out / f"{task}.model")
+            _write_train_log(model, out / f"{task}_train_log.csv")
+            final = model.train_log[-1].objective
+            print(f"trained {task}: r={model.r} variant={model.variant} "
+                  f"epochs={len(model.train_log)} final_objective={final!r}")
+            print(f"wrote {model_path}")
     finally:
         for child in children:
             child.close()
-    for task, model in zip(tasks, results):
-        if isinstance(model, BaseException):
-            raise model
-        model_path = save_model(model, out / f"{task}.model")
-        _write_train_log(model, out / f"{task}_train_log.csv")
-        final = model.train_log[-1].objective
-        print(f"trained {task}: r={model.r} variant={model.variant} "
-              f"epochs={len(model.train_log)} final_objective={final!r}")
-        print(f"wrote {model_path}")
     return 0
 
 

@@ -32,17 +32,16 @@ class EvalReport:
     n_db: int
 
 
-def _ap(pos: np.ndarray, counts: np.ndarray | None = None) -> float:
+def _ap(pos: np.ndarray, counts: np.ndarray) -> float:
     """AP from the ascending ranks (0-based) of the relevant items.
 
     The hit at pos[j] is the (j+1)-th, so its precision is (j+1)/(pos[j]+1);
     the quotients are summed in rank order and divided by the hit count.
-    counts, if given, is arange(1, m + 1) for some m >= pos.size.
+    counts is arange(1, m + 1) for some m >= pos.size.
     """
     if pos.size == 0:
         return 0.0
-    counts = np.arange(1, pos.size + 1) if counts is None else counts[: pos.size]
-    return float((counts / (pos + 1)).sum() / pos.size)
+    return float((counts[: pos.size] / (pos + 1)).sum() / pos.size)
 
 
 def evaluate(index: RetrievalIndex, query_codes: CodeMatrix,

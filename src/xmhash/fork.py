@@ -55,17 +55,21 @@ class Forked:
         self.status = None
 
     def result(self):
-        """Once the child ends: fn's return value, or the exception raised."""
+        """Once the child ends: fn's return value. Raises the exception fn
+        raised, or ChildProcessError if the child ended without a result."""
         payload = self.pipe.read()
         self.pipe.close()
         self.status = os.waitpid(self.pid, 0)[1]
         try:
-            return pickle.loads(payload)
+            value = pickle.loads(payload)
         except Exception:
             code = os.waitstatus_to_exitcode(self.status)
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-            return ChildProcessError(
-                f"{self.label}: child process ended without a result ({how})")
+            raise ChildProcessError(
+                f"{self.label}: child process ended without a result ({how})") from None
+        if isinstance(value, BaseException):
+            raise value
+        return value
 
     def close(self) -> None:
         self.pipe.close()

@@ -158,7 +158,7 @@ def _check_encoder_chain(rng, state, sim, batch, hp, tag, tol,
         block, tape = forward(enc, xb)
         feats_block[:, batch] = block
         feature_grad = grad_fn(state, hp, sim, batch)
-        buffers, _ = backward(enc, tape, feature_grad)
+        buffers = backward(enc, tape, feature_grad)
 
         worst_err, worst_at = -1.0, ""
         for k, layer in enumerate(enc.layers):

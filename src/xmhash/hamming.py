@@ -1,9 +1,9 @@
 """Binary codes, bit packing, Hamming ranking, and database encoding.
 
-Codes live in two synchronized forms: an int8 sign matrix (r x n, entries
-+/-1) and a packed uint64 matrix (n rows, ceil(r/64) words per instance,
-little-endian within and across words). Bit=1 encodes sign=+1; bits past r
-in the last word stay zero. sgn(0) maps to +1 everywhere.
+A code block has one stored form: packed uint64 words (n rows, ceil(r/64)
+words per instance, little-endian within and across words), from which the
+(r, n) int8 sign matrix is unpacked on demand. Bit=1 encodes sign=+1; bits
+past r in the last word stay zero. sgn(0) maps to +1 everywhere.
 
 The on-disk code file is a 12-byte header (u32 code length, u32 instance
 count, u32 format version, little-endian) followed by the packed words,
@@ -46,7 +46,7 @@ def pack_signs(signs: np.ndarray) -> np.ndarray:
         raise ContractError(f"sign matrix must be 2-D, got ndim={signs.ndim}")
     if not all_pm1(signs):
         raise ContractError("sign matrix entries must be +/-1")
-    return _pack(signs)
+    return _pack(signs > 0)
 
 
 def all_pm1(a: np.ndarray) -> bool:
@@ -54,16 +54,11 @@ def all_pm1(a: np.ndarray) -> bool:
     return bool((np.abs(a) == 1).all())
 
 
-def _pack(signs: np.ndarray) -> np.ndarray:
-    """pack_signs without the checks, for a 2-D matrix already known +/-1."""
-    r, n = signs.shape
-    words = (r + 63) // 64
-    bits = (signs.T > 0).astype(np.uint8)
-    pad = words * 64 - r
-    if pad:
-        bits = np.pad(bits, ((0, 0), (0, pad)))
-    packed_bytes = np.packbits(bits, axis=1, bitorder="little")
-    return np.ascontiguousarray(packed_bytes).view(np.uint64)
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """(r, n) bools, True for +1, as (n, ceil(r/64)) zero-padded uint64 words."""
+    packed_bytes = np.packbits(bits.T, axis=1, bitorder="little")
+    pad = (bits.shape[0] + 63) // 64 * 8 - packed_bytes.shape[1]
+    return np.ascontiguousarray(np.pad(packed_bytes, ((0, 0), (0, pad)))).view(np.uint64)
 
 
 def unpack_codes(packed: np.ndarray, r: int) -> np.ndarray:
@@ -81,23 +76,24 @@ def unpack_codes(packed: np.ndarray, r: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CodeMatrix:
-    """Sign and packed views of one code block, kept consistent."""
+    """One code block as packed words; signs are unpacked on demand."""
 
-    signs: np.ndarray   # (r, n) int8 +/-1
     packed: np.ndarray  # (n, ceil(r/64)) uint64
-
-    @property
-    def r(self) -> int:
-        return self.signs.shape[0]
+    r: int
 
     @property
     def n(self) -> int:
-        return self.signs.shape[1]
+        return self.packed.shape[0]
+
+    @property
+    def signs(self) -> np.ndarray:
+        """The (r, n) int8 +/-1 sign matrix."""
+        return unpack_codes(self.packed, self.r)
 
     @classmethod
     def from_signs(cls, signs) -> "CodeMatrix":
         signs = np.asarray(signs, dtype=np.int8)
-        return cls(signs, pack_signs(signs))
+        return cls(pack_signs(signs), signs.shape[0])
 
     @classmethod
     def from_real(cls, values: np.ndarray) -> "CodeMatrix":
@@ -107,16 +103,13 @@ class CodeMatrix:
             raise ContractError("cannot binarize non-finite values")
         if values.ndim != 2:
             raise ContractError(f"sign matrix must be 2-D, got ndim={values.ndim}")
-        signs = np.where(values >= 0, np.int8(1), np.int8(-1))  # no int64 temporary
-        return cls(signs, _pack(signs))
+        return cls(_pack(values >= 0), values.shape[0])
 
     def validate(self) -> None:
-        if not all_pm1(self.signs):
-            raise ContractError("sign matrix entries must be +/-1")
-        if self.packed.shape != (self.n, (self.r + 63) // 64):
-            raise ContractError("packed shape inconsistent with sign shape")
-        if not np.array_equal(self.packed, _pack(self.signs)):
-            raise ContractError("packed words out of sync with signs")
+        if self.packed.ndim != 2 or self.packed.shape[1] != (self.r + 63) // 64:
+            raise ContractError(f"packed shape {self.packed.shape} does not fit r={self.r}")
+        if self.r % 64 and np.any(self.packed[:, -1] >> np.uint64(self.r % 64)):
+            raise ContractError("nonzero padding bits past the code length")
 
 
 def distances_to_all(packed_db: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -175,12 +168,9 @@ def rank_tiles(fn, index: "RetrievalIndex", query_packed: np.ndarray) -> list:
         return part(0, n_query)
     child = Forked("ranking queries", part, cut, n_query)
     try:
-        head, tail = part(0, cut), child.result()
+        return part(0, cut) + child.result()
     finally:
         child.close()
-    if isinstance(tail, BaseException):
-        raise tail
-    return head + tail
 
 
 def check_k(k: int, n_db: int) -> None:
@@ -259,7 +249,6 @@ def encode_database(model, ds, split, reencode_train: bool = False) -> Retrieval
         enc, feats = model.text_encoder, ds.text_features
     else:
         enc, feats = model.image_encoder, ds.image_features
-    signs = np.empty((model.r, db_ids.size), dtype=np.int8)
     packed = np.empty((db_ids.size, model.codes.packed.shape[1]), dtype=np.uint64)
     if reencode_train:
         fresh = np.arange(db_ids.size)
@@ -270,12 +259,10 @@ def encode_database(model, ds, split, reencode_train: bool = False) -> Retrieval
         cols = by_id[slot]
         is_train = train_ids[cols] == db_ids
         fresh = np.flatnonzero(~is_train)
-        signs[:, is_train] = model.codes.signs[:, cols[is_train]]
         packed[is_train] = model.codes.packed[cols[is_train]]
     if fresh.size:
-        codes = encode_with(enc, feats[db_ids[fresh]], "database features")
-        signs[:, fresh], packed[fresh] = codes.signs, codes.packed
-    return RetrievalIndex(CodeMatrix(signs, packed), ds.labels[:, db_ids], db_ids)
+        packed[fresh] = encode_with(enc, feats[db_ids[fresh]], "database features").packed
+    return RetrievalIndex(CodeMatrix(packed, model.r), ds.labels[:, db_ids], db_ids)
 
 
 def write_codes(cm: CodeMatrix, path) -> Path:
@@ -306,8 +293,9 @@ def read_codes(path) -> CodeMatrix:
         raise LoadError(
             f"code file has wrong size: expected {expected} bytes, found {len(payload)}"
         )
-    packed = np.frombuffer(payload[12:], dtype="<u8").reshape(n, words).copy()
-    tail_bits = r % 64
-    if tail_bits and np.any(packed[:, -1] >> np.uint64(tail_bits)):
-        raise LoadError("code file has nonzero padding bits past the code length")
-    return CodeMatrix(unpack_codes(packed, r), packed)
+    cm = CodeMatrix(np.frombuffer(payload[12:], dtype="<u8").reshape(n, words).copy(), r)
+    try:
+        cm.validate()
+    except ContractError as exc:
+        raise LoadError(f"code file has {exc}") from exc
+    return cm

@@ -2,8 +2,9 @@
 
 Encoders map feature rows to code-space columns: forward() takes a
 (batch, in_dim) slab and returns (out_dim, batch) outputs plus the tape
-needed for the backward pass. Parameters are treated as immutable;
-sgd_step returns a fresh encoder.
+for the backward pass: the input of every layer, from which backward
+rebuilds each relu mask. Parameters are treated as immutable; sgd_step
+returns a fresh encoder.
 """
 
 from dataclasses import dataclass
@@ -64,21 +65,13 @@ class MlpEncoder:
 
 
 @dataclass(frozen=True)
-class Tape:
-    """Per-layer inputs and pre-activations captured during forward()."""
-
-    inputs: tuple  # layer inputs, each (in_dim, batch)
-    pre: tuple     # pre-activations, each (out_dim, batch)
-
-
-@dataclass(frozen=True)
 class GradBuffer:
     weight_grads: tuple
     bias_grads: tuple
 
 
 def forward(enc: MlpEncoder, batch: np.ndarray):
-    """Run the encoder; returns ((out_dim, batch) outputs, tape).
+    """Run the encoder; returns ((out_dim, batch) outputs, layer inputs).
 
     enc is taken as valid: it was checked where it was built or stepped."""
     x = np.asarray(batch, dtype=np.float64)
@@ -91,43 +84,46 @@ def forward(enc: MlpEncoder, batch: np.ndarray):
     if not np.all(np.isfinite(x)):
         raise NumericalError("batch contains non-finite entries")
     a = x.T
-    inputs, pres = [], []
+    inputs = []
     for layer in enc.layers:
         inputs.append(a)
-        z = layer.weights @ a + layer.bias[:, None]
-        pres.append(z)
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        a = layer.weights @ a
+        a += layer.bias[:, None]
+        if layer.activation == "relu":
+            np.maximum(a, 0.0, out=a)
     if not np.all(np.isfinite(a)):
         raise NumericalError("encoder output contains non-finite entries")
-    return a, Tape(tuple(inputs), tuple(pres))
+    return a, tuple(inputs)
 
 
-def backward(enc: MlpEncoder, tape: Tape, out_grad: np.ndarray):
+def backward(enc: MlpEncoder, tape: tuple, out_grad: np.ndarray) -> GradBuffer:
     """Reverse-mode pass: gradient of <out_grad, output> wrt parameters.
 
-    out_grad has the output's shape (out_dim, batch). Returns the parameter
-    gradients and the gradient with respect to the input batch, shaped
-    (batch, in_dim) to match forward's argument.
+    out_grad has the output's shape (out_dim, batch). A relu layer's mask
+    is its output > 0, read from the next layer's input on the tape; the
+    final layer is identity, so a next layer always exists.
     """
-    if len(tape.inputs) != len(enc.layers) or len(tape.pre) != len(enc.layers):
+    if len(tape) != len(enc.layers):
         raise ContractError("tape does not match encoder depth")
     delta = np.asarray(out_grad, dtype=np.float64)
-    if delta.shape != tape.pre[-1].shape:
+    out_shape = (enc.output_dim, tape[-1].shape[1])
+    if delta.shape != out_shape:
         raise ContractError(
-            f"out_grad shape {delta.shape} does not match output shape {tape.pre[-1].shape}"
+            f"out_grad shape {delta.shape} does not match output shape {out_shape}"
         )
     w_grads = [None] * len(enc.layers)
     b_grads = [None] * len(enc.layers)
     for k in range(len(enc.layers) - 1, -1, -1):
         layer = enc.layers[k]
-        if tape.inputs[k].shape[0] != layer.in_dim:
+        if tape[k].shape[0] != layer.in_dim:
             raise ContractError(f"tape layer {k} input dim does not match encoder")
         if layer.activation == "relu":
-            delta = delta * (tape.pre[k] > 0.0)
-        w_grads[k] = delta @ tape.inputs[k].T
+            delta = delta * (tape[k + 1] > 0.0)
+        w_grads[k] = delta @ tape[k].T
         b_grads[k] = delta.sum(axis=1)
-        delta = layer.weights.T @ delta
-    return GradBuffer(tuple(w_grads), tuple(b_grads)), delta.T
+        if k:
+            delta = layer.weights.T @ delta
+    return GradBuffer(tuple(w_grads), tuple(b_grads))
 
 
 def sgd_step(enc: MlpEncoder, grads: GradBuffer, lr: float) -> MlpEncoder:

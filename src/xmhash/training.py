@@ -145,7 +145,7 @@ def update_codes(img_feats: np.ndarray, txt_feats: np.ndarray, hp: HyperParams,
         m = m + shift
     if not np.all(np.isfinite(m)):
         raise NumericalError("code update saw non-finite embeddings")
-    return CodeMatrix.from_signs(np.where(m >= 0, 1, -1).astype(np.int8))
+    return CodeMatrix.from_real(m)
 
 
 def update_projection(feats: np.ndarray, labels: np.ndarray,
@@ -250,7 +250,7 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
             out, tape = guarded(step, epoch, forward, enc, inputs[batch])
             feats[:, batch] = out
             g = guarded(step, epoch, grad_fn, state, hp_sweep, sim, batch)
-            grads, _ = backward(enc, tape, g)
+            grads = backward(enc, tape, g)
             enc = guarded(step, epoch, sgd_step, enc, grads, lr)
         out, _ = guarded(step, epoch, forward, enc, inputs)
         feats[:] = out

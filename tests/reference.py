@@ -27,7 +27,8 @@ def average_precision(ranked_rel) -> float:
         raise ContractError("ranking is empty")
     if not np.isin(rel, (0.0, 1.0)).all():
         raise ContractError("relevance entries must be 0 or 1")
-    return _ap(np.flatnonzero(rel))
+    pos = np.flatnonzero(rel)
+    return _ap(pos, np.arange(1, pos.size + 1))
 
 
 def welch_t_test(ap_a, ap_b):

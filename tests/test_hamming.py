@@ -1,5 +1,6 @@
 """Bit packing, Hamming ranking, database encoding, and the code file format."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -129,11 +130,25 @@ def test_code_matrix_from_real_zero_maps_to_plus_one():
     assert np.array_equal(cm.signs, [[1, -1], [1, 1]])
 
 
-def test_code_matrix_validate_detects_desync():
+@pytest.mark.parametrize("r", PAD_BOUNDARY_LENGTHS)
+def test_code_matrix_from_real_equals_from_signs(r):
+    rng = np.random.default_rng(r)
+    values = rng.standard_normal((r, 9))
+    values[rng.random((r, 9)) < 0.3] = 0.0
+    values[0, :3] = (0.0, -0.0, 0.0)
+    cm = CodeMatrix.from_real(values)
+    want = CodeMatrix.from_signs(np.where(values >= 0, 1, -1))
+    assert cm.r == want.r == r
+    assert np.array_equal(cm.packed, want.packed)
+    assert np.array_equal(cm.signs, want.signs)
+
+
+def test_code_matrix_validate_detects_nonzero_padding():
     cm = CodeMatrix.from_signs(np.array([[1, -1], [1, 1]], dtype=np.int8))
-    stale = CodeMatrix(cm.signs, cm.packed ^ np.uint64(1))
-    with pytest.raises(ContractError, match="out of sync"):
-        stale.validate()
+    cm.validate()
+    padded = CodeMatrix(cm.packed | (np.uint64(1) << np.uint64(63)), cm.r)
+    with pytest.raises(ContractError, match="padding"):
+        padded.validate()
 
 
 # --- distances ------------------------------------------------------------------
@@ -322,6 +337,22 @@ def test_encode_with_zero_output_becomes_plus_one():
     enc = constant_encoder([0.0, 0.0])
     cm = encode_with(enc, np.ones((2, 3)))
     assert np.all(cm.signs == 1)
+
+
+def test_encode_with_peaks_below_three_hidden_blocks():
+    # the tape holds layer inputs only, and bias and relu work in place, so
+    # a (32, 64, 64) encoder needs about two (64, batch) float64 blocks
+    from xmhash.mlp import glorot_mlp
+    enc = glorot_mlp((32, 64, 64), seed=10)
+    feats = np.random.default_rng(11).standard_normal((20000, 32))
+    block = 64 * feats.shape[0] * 8
+    tracemalloc.start()
+    try:
+        encode_with(enc, feats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * block, f"peak {peak / block:.2f} hidden blocks"
 
 
 def test_encode_with_matches_forward_sign_oracle():
