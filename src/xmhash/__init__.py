@@ -19,8 +19,7 @@ from .hamming import (
 )
 from .mlp import Layer, MlpEncoder, backward, forward, glorot_mlp, sgd_step
 from .objective import (
-    HyperParams, ObjectiveState, image_feature_grad, objective_value,
-    pairwise_nll, text_feature_grad,
+    HyperParams, ObjectiveState, feature_grad, objective_value, pairwise_nll,
 )
 from .training import (
     TaskModel, TrainConfig, load_model, save_model, train_task,

@@ -19,7 +19,7 @@ from . import hamming as H
 from .errors import ContractError, LoadError, NumericalError
 from .fork import Forked
 from .gradcheck import run_suite
-from .objective import HyperParams
+from .objective import TASKS, HyperParams
 from .training import (
     LR_MAX, LR_MIN, TrainConfig, VARIANTS, load_model, save_model, train_task,
 )
@@ -121,10 +121,8 @@ def cmd_synth(args) -> int:
 
 
 def _resolve_hp(args, task: str) -> HyperParams:
-    quad = PRESETS[args.preset][task]
-    override = args.hp_i2t if task == "i2t" else args.hp_t2i
-    if override is not None:
-        quad = override
+    override = getattr(args, f"hp_{task}")
+    quad = PRESETS[args.preset][task] if override is None else override
     return HyperParams(*quad, task=task)
 
 
@@ -146,7 +144,7 @@ def cmd_train(args) -> int:
     cfg.validate()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = ("i2t", "t2i") if args.task == "both" else (args.task,)
+    tasks = TASKS if args.task == "both" else (args.task,)
     # The directions share no state, so every direction after the first
     # trains in a forked child, on another core, while this process trains
     # the first. Each is saved as it arrives, so files and lines follow the
@@ -257,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp = sub.add_parser("train", help="train one or both retrieval directions")
     tp.add_argument("--data", required=True, help="dataset directory")
     tp.add_argument("--out", required=True, help="output directory for models/logs")
-    tp.add_argument("--task", choices=("i2t", "t2i", "both"), default="both")
+    tp.add_argument("--task", choices=(*TASKS, "both"), default="both")
     tp.add_argument("--variant", choices=VARIANTS, default="full")
     tp.add_argument("--bits", type=_positive_int, default=16, help="code length")
     tp.add_argument("--epochs", type=_positive_int, default=500)

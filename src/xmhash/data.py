@@ -33,6 +33,7 @@ _MANIFEST_KEYS = (
     "image_blob", "text_blob", "label_blob", "dtype", "layout",
 )
 SPLIT_FILES = ("query.ids", "retrieval.ids", "train.ids")
+SIDES = ("image", "text")  # the modalities by side index
 
 
 @dataclass(frozen=True)
@@ -276,8 +277,8 @@ def load_dataset(manifest_path) -> MultiModalDataset:
         raise LoadError(f"manifest not found: {path}")
     try:
         manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"manifest is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise LoadError(f"manifest is not valid JSON: {path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise LoadError("manifest must be a JSON object")
     missing = [k for k in _MANIFEST_KEYS if k not in manifest]
@@ -290,8 +291,8 @@ def load_dataset(manifest_path) -> MultiModalDataset:
         raise LoadError(f"unsupported layout {manifest['layout']!r}, expected 'row_major'")
     try:
         n, d_x, d_y, c = (int(manifest[k]) for k in ("n", "d_x", "d_y", "c"))
-    except (TypeError, ValueError) as exc:
-        raise LoadError(f"manifest dims must be integers: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise LoadError(f"manifest dims must be integers: {path}: {exc}") from exc
     if min(n, d_x, d_y, c) < 1:
         raise LoadError(f"manifest dims must be positive, got n={n} d_x={d_x} d_y={d_y} c={c}")
 
@@ -345,7 +346,10 @@ def _parse_ids(f: Path) -> np.ndarray:
     """One split file's ids. A plain file parses in one pass in C; any
     other goes line by line through int(), skipping blank lines, so that
     a bad line can be named."""
-    text = f.read_text()
+    try:
+        text = f.read_text()
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{f}: split file is not UTF-8 text: {exc}") from exc
     if _PLAIN_IDS.fullmatch(text):
         return np.fromstring(text, dtype=np.int64, sep="\n")
     ids = []

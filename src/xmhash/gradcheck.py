@@ -3,16 +3,16 @@
 Two families of checks, both against central differences of the actual
 objective:
 
-  feature gradients   the closed-form gradient of the image block and of
-                      the text block (one shared formula, mirrored), for
+  feature gradients   the closed-form gradient of each side's embedding
+                      block (0 image, 1 text; one formula, mirrored) for
                       each retrieval direction, on random states swept
                       over on/off corners of the four objective weights;
   encoder chain       gradients pushed through forward/backward onto MLP
                       parameters, i.e. the whole train-step path.
 
 Errors are scaled by max(1, |analytic|, |numeric|) per entry. The gradient
-functions are injectable so tests can prove the suite catches a planted
-sign error.
+function (called with a side, as feature_grad is) is injectable so tests
+can prove the suite catches a planted error on one side.
 """
 
 import itertools
@@ -20,13 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import SIDES, PairwiseSimilarity
 from .errors import ContractError
 from .mlp import backward, forward, glorot_mlp
-from .objective import (
-    HyperParams, ObjectiveState, image_feature_grad, objective_value,
-    text_feature_grad,
-)
-from .data import PairwiseSimilarity
+from .objective import TASKS, HyperParams, ObjectiveState, feature_grad, objective_value
 
 DEFAULT_TOL = 1e-4
 DEFAULT_STEP = 1e-6
@@ -110,26 +107,22 @@ def _random_state(rng: np.random.Generator):
     return state, sim, batch
 
 
-def _check_feature_grads(state, sim, batch, hp, tag, tol,
-                         image_grad_fn, text_grad_fn):
+def _check_feature_grads(state, sim, batch, hp, tag, tol, grad_fn):
     out = []
 
     def eval_obj():
         return objective_value(state, hp, sim, binary_codes=False)
 
     # FD loops mutate live column views of the state entry by entry
-    for modality, feats, symbol, grad_fn in (
-        ("image", state.image_feats, "dF", image_grad_fn),
-        ("text", state.text_feats, "dG", text_grad_fn),
-    ):
-        analytic = grad_fn(state, hp, sim, batch)
+    for side, (feats, symbol) in enumerate(zip(state.feats, ("dF", "dG"))):
+        analytic = grad_fn(state, hp, sim, batch, side)
         fd = np.zeros_like(analytic)
         for pos, col in enumerate(batch):
             fd[:, pos] = _fd_over(feats[:, col], eval_obj).ravel()
         errs = _scaled_errors(analytic, fd)
         k = np.unravel_index(np.argmax(errs), errs.shape)
         out.append(CheckResult(
-            name=f"{modality}-grad {tag}",
+            name=f"{SIDES[side]}-grad {tag}",
             max_err=float(errs[k]),
             worst_at=f"{symbol}[{k[0]},{int(batch[k[1]])}]",
             passed=float(errs[k]) < tol,
@@ -137,15 +130,11 @@ def _check_feature_grads(state, sim, batch, hp, tag, tol,
     return out
 
 
-def _check_encoder_chain(rng, state, sim, batch, hp, tag, tol,
-                         image_grad_fn, text_grad_fn):
+def _check_encoder_chain(rng, state, sim, batch, hp, tag, tol, grad_fn):
     """Verify dObjective/dParameters through forward + backward."""
     out = []
     r = state.image_feats.shape[0]
-    for modality, feats_block, grad_fn in (
-        ("image", state.image_feats, image_grad_fn),
-        ("text", state.text_feats, text_grad_fn),
-    ):
+    for side, feats_block in enumerate(state.feats):
         d_in = int(rng.integers(2, 5))
         enc = glorot_mlp((d_in, 4, r), seed=int(rng.integers(0, 2 ** 31)))
         xb = rng.standard_normal((batch.size, d_in))
@@ -157,8 +146,7 @@ def _check_encoder_chain(rng, state, sim, batch, hp, tag, tol,
 
         block, tape = forward(enc, xb)
         feats_block[:, batch] = block
-        feature_grad = grad_fn(state, hp, sim, batch)
-        buffers = backward(enc, tape, feature_grad)
+        buffers = backward(enc, tape, grad_fn(state, hp, sim, batch, side))
 
         worst_err, worst_at = -1.0, ""
         for k, layer in enumerate(enc.layers):
@@ -174,7 +162,7 @@ def _check_encoder_chain(rng, state, sim, batch, hp, tag, tol,
                     worst_at = f"layer{k}.{pname}{[int(v) for v in j]}"
         eval_obj()  # leave the state consistent with the unperturbed encoder
         out.append(CheckResult(
-            name=f"encoder-chain {modality} {tag}",
+            name=f"encoder-chain {SIDES[side]} {tag}",
             max_err=worst_err,
             worst_at=worst_at,
             passed=worst_err < tol,
@@ -183,8 +171,7 @@ def _check_encoder_chain(rng, state, sim, batch, hp, tag, tol,
 
 
 def run_suite(trials: int = 50, seed: int = 0, tol: float = DEFAULT_TOL,
-              image_grad_fn=image_feature_grad,
-              text_grad_fn=text_feature_grad) -> SuiteReport:
+              grad_fn=feature_grad) -> SuiteReport:
     """Run the whole verification suite.
 
     Each trial draws a random state/batch, picks the next weight corner and
@@ -197,12 +184,10 @@ def run_suite(trials: int = 50, seed: int = 0, tol: float = DEFAULT_TOL,
     results = []
     for t in range(trials):
         corner = _HP_CORNERS[t % len(_HP_CORNERS)]
-        task = ("i2t", "t2i")[t % 2]
+        task = TASKS[t % 2]
         hp = HyperParams(*corner, task=task)
         state, sim, batch = _random_state(rng)
         tag = f"task={task} weights={corner} trial={t}"
-        results.extend(_check_feature_grads(
-            state, sim, batch, hp, tag, tol, image_grad_fn, text_grad_fn))
-        results.extend(_check_encoder_chain(
-            rng, state, sim, batch, hp, tag, tol, image_grad_fn, text_grad_fn))
+        results.extend(_check_feature_grads(state, sim, batch, hp, tag, tol, grad_fn))
+        results.extend(_check_encoder_chain(rng, state, sim, batch, hp, tag, tol, grad_fn))
     return SuiteReport(tuple(results), tol)

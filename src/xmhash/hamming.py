@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import SIDES
 from .errors import ContractError, LoadError
 from .fork import Forked
 from .mlp import MlpEncoder, forward
@@ -223,13 +224,16 @@ def encode_with(enc: MlpEncoder, feats: np.ndarray, what: str = "features") -> C
     return CodeMatrix.from_real(out)
 
 
+def _encode_side(model, ds, side: int, ids, what: str) -> CodeMatrix:
+    """Hash the given items with the model's encoder for one side."""
+    enc = (model.image_encoder, model.text_encoder)[side]
+    feats = (ds.image_features, ds.text_features)[side]
+    return encode_with(enc, feats[ids], f"{what} {SIDES[side]} features")
+
+
 def encode_queries(model, ds, split) -> CodeMatrix:
     """Hash the query set with the query-side encoder of the model's task."""
-    if model.task == "i2t":
-        return encode_with(model.image_encoder, ds.image_features[split.query_ids],
-                           "query image features")
-    return encode_with(model.text_encoder, ds.text_features[split.query_ids],
-                       "query text features")
+    return _encode_side(model, ds, model.hp.query_side, split.query_ids, "query")
 
 
 def encode_database(model, ds, split, reencode_train: bool = False) -> RetrievalIndex:
@@ -245,10 +249,6 @@ def encode_database(model, ds, split, reencode_train: bool = False) -> Retrieval
         raise ContractError(f"model was trained on {model.codes.n} items but the "
                             f"split has {len(split.train_ids)} train items")
     db_ids = np.asarray(split.retrieval_ids, dtype=np.int64)
-    if model.task == "i2t":
-        enc, feats = model.text_encoder, ds.text_features
-    else:
-        enc, feats = model.image_encoder, ds.image_features
     packed = np.empty((db_ids.size, model.codes.packed.shape[1]), dtype=np.uint64)
     if reencode_train:
         fresh = np.arange(db_ids.size)
@@ -261,7 +261,8 @@ def encode_database(model, ds, split, reencode_train: bool = False) -> Retrieval
         fresh = np.flatnonzero(~is_train)
         packed[is_train] = model.codes.packed[cols[is_train]]
     if fresh.size:
-        packed[fresh] = encode_with(enc, feats[db_ids[fresh]], "database features").packed
+        packed[fresh] = _encode_side(model, ds, 1 - model.hp.query_side, db_ids[fresh],
+                                     "database").packed
     return RetrievalIndex(CodeMatrix(packed, model.r), ds.labels[:, db_ids], db_ids)
 
 

@@ -6,7 +6,9 @@ toward the label-overlap relation, two quantization penalties tying each
 embedding block to the shared binary codes, and a bit-balance penalty on
 embedding row sums. The direction decides which embedding block is also
 regressed onto the labels through the linear projection: the query-side
-modality keeps the label term (image for i2t, text for t2i).
+modality keeps the label term (image for i2t, text for t2i). Sides index
+the modalities, 0 image and 1 text (data.SIDES): one gradient formula
+serves both, and HyperParams.query_side names a direction's query side.
 
 Embeddings are stored column-wise: feats[:, i] is instance i. The n x n
 similarity matrix is never formed; everything walks PairwiseSimilarity in
@@ -43,6 +45,11 @@ class HyperParams:
     balance_weight: float
     task: str = "i2t"
 
+    @property
+    def query_side(self) -> int:
+        """The side that queries and keeps the label term: 0 for i2t, 1 for t2i."""
+        return 0 if self.task == "i2t" else 1
+
     def validate(self) -> None:
         if self.task not in TASKS:
             raise ContractError(f"task must be one of {TASKS}, got {self.task!r}")
@@ -66,6 +73,11 @@ class ObjectiveState:
     codes: np.ndarray        # (r, n)
     proj: np.ndarray         # (r, c)
     labels: np.ndarray       # (c, n) float 0/1
+
+    @property
+    def feats(self) -> tuple:
+        """The embedding blocks by side: (image_feats, text_feats)."""
+        return self.image_feats, self.text_feats
 
 
 def check_state(state: ObjectiveState, binary_codes: bool = True) -> None:
@@ -151,7 +163,7 @@ def objective_value(state: ObjectiveState, hp: HyperParams,
     total += hp.quant_text * float(((b - g) ** 2).sum())
     if hp.label_weight > 0:
         if label_target is None:
-            label_target = f if hp.task == "i2t" else g
+            label_target = state.feats[hp.query_side]
         total += hp.label_weight * float(((label_target - _label_fit(state)) ** 2).sum())
     total += hp.balance_weight * (
         float((f.sum(axis=1) ** 2).sum())
@@ -186,45 +198,33 @@ def _pairwise_grad(own, other, sim, batch):
     return out
 
 
-def _feature_grad(state, hp, sim, batch, side: str) -> np.ndarray:
-    """The state's blocks are taken as well formed and finite: the trainer
-    validates hp once and each block where it is made (forward,
-    update_codes, update_projection)."""
-    own, other = state.image_feats, state.text_feats
-    quant, query_task = hp.quant_image, "i2t"
-    if side == "text":
-        own, other = other, own
-        quant, query_task = hp.quant_text, "t2i"
+def feature_grad(state: ObjectiveState, hp: HyperParams,
+                 sim: PairwiseSimilarity, batch: np.ndarray, side: int) -> np.ndarray:
+    """Exact objective gradient wrt the chosen columns of one side's
+    embedding block (0 image, 1 text).
+
+    batch indexes columns of the training blocks. Returned shape is
+    (r, len(batch)). The label-regression term contributes only on the
+    query side of hp.task; the balance term contributes the same row-sum
+    vector to every column. The state's blocks are taken as well formed and
+    finite: the trainer validates hp once and each block where it is made
+    (forward, update_codes, update_projection).
+    """
+    if side not in (0, 1):
+        raise ContractError(f"side must be 0 (image) or 1 (text), got {side!r}")
+    own, other = state.feats[side], state.feats[1 - side]
+    quant = (hp.quant_image, hp.quant_text)[side]
     n = own.shape[1]
     batch = _as_batch(batch, n)
     if sim.n != n:
         raise ContractError(f"similarity oracle covers {sim.n} instances, state {n}")
     grad = _pairwise_grad(own, other, sim, batch)
     grad += 2.0 * quant * (own[:, batch] - state.codes[:, batch])
-    if hp.label_weight > 0 and hp.task == query_task:
+    if hp.label_weight > 0 and side == hp.query_side:
         grad += 2.0 * hp.label_weight * (own[:, batch] - _label_fit(state)[:, batch])
     grad += 2.0 * hp.balance_weight * own.sum(axis=1)[:, None]
     _check_grad(grad)
     return grad
-
-
-def image_feature_grad(state: ObjectiveState, hp: HyperParams,
-                       sim: PairwiseSimilarity, batch: np.ndarray) -> np.ndarray:
-    """Exact objective gradient wrt the chosen image-embedding columns.
-
-    batch indexes columns of the training blocks. Returned shape is
-    (r, len(batch)). The label-regression term contributes only for the
-    i2t direction; the balance term contributes the same row-sum vector to
-    every column.
-    """
-    return _feature_grad(state, hp, sim, batch, "image")
-
-
-def text_feature_grad(state: ObjectiveState, hp: HyperParams,
-                      sim: PairwiseSimilarity, batch: np.ndarray) -> np.ndarray:
-    """Exact objective gradient wrt the chosen text-embedding columns; the
-    mirror image of image_feature_grad, with the label term for t2i."""
-    return _feature_grad(state, hp, sim, batch, "text")
 
 
 def _as_batch(batch, n: int) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Alternating training of one retrieval direction.
 
-Each outer epoch runs four blocks in a fixed order:
-  1. mini-batch gradient sweep over the image encoder,
-  2. mini-batch gradient sweep over the text encoder,
+Each outer epoch runs four blocks in a fixed order; both sweeps run one
+code path, indexed by side (0 image, 1 text):
+  1. mini-batch gradient sweep over the image encoder (side 0),
+  2. mini-batch gradient sweep over the text encoder (side 1),
   3. exact discrete update of the shared codes (sign of a weighted
      combination of the two embedding blocks, which is the argmin of the
      quantization terms over +/-1 matrices),
@@ -29,15 +30,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import MultiModalDataset, PairwiseSimilarity, SplitSpec
+from .data import SIDES, MultiModalDataset, PairwiseSimilarity, SplitSpec
 from .errors import ContractError, LoadError, NumericalError
-from .hamming import CodeMatrix, all_pm1
+from .hamming import CodeMatrix
 from .linalg import spd_solve
 from .mlp import ACTIVATIONS, Layer, MlpEncoder, backward, forward, glorot_mlp, sgd_step
-from .objective import (
-    HyperParams, ObjectiveState, TASKS, image_feature_grad, objective_value,
-    text_feature_grad,
-)
+from .objective import TASKS, HyperParams, ObjectiveState, feature_grad, objective_value
 
 VARIANTS = ("full", "v1", "v2", "v3")
 
@@ -201,8 +199,7 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
 
     train_ids = np.asarray(split.train_ids, dtype=np.int64)
     n = train_ids.size
-    x = ds.image_features[train_ids]
-    y = ds.text_features[train_ids]
+    inputs = (ds.image_features[train_ids], ds.text_features[train_ids])
     lab = ds.labels[:, train_ids].astype(np.float64)
     sim = PairwiseSimilarity(ds.labels[:, train_ids])
     r = cfg.bits
@@ -212,23 +209,22 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
     # v1 regresses codes, not embeddings, so its encoder sweeps are label-free
     hp_sweep = replace(hp, label_weight=0.0) if cfg.variant == "v1" else hp
 
-    img_enc = glorot_mlp((ds.d_x, cfg.hidden_dim, r), cfg.seed + 1)
-    txt_enc = glorot_mlp((ds.d_y, cfg.hidden_dim, r), cfg.seed + 2)
-    feats_img, _ = forward(img_enc, x)
-    feats_txt, _ = forward(txt_enc, y)
+    encs = [glorot_mlp((x.shape[1], cfg.hidden_dim, r), cfg.seed + 1 + side)
+            for side, x in enumerate(inputs)]
+    blocks = [forward(enc, x)[0] for enc, x in zip(encs, inputs)]
 
     uses_proj = hp.label_weight > 0
     code_rng = np.random.default_rng(cfg.seed + 3)
     if cfg.variant == "v3":
         if hp.quant_image + hp.quant_text <= 0:
             raise ContractError("v3 needs quant_image + quant_text > 0")
-        codes = _relaxed_codes(feats_img, feats_txt, hp)
+        codes = _relaxed_codes(*blocks, hp)
     else:
         codes = (code_rng.integers(0, 2, size=(r, n)) * 2 - 1).astype(np.float64)
     proj_rng = np.random.default_rng(cfg.seed + 4)
     proj = 0.01 * proj_rng.standard_normal((r, ds.c)) if uses_proj else np.zeros((r, ds.c))
 
-    state = ObjectiveState(feats_img, feats_txt, codes, proj, lab)
+    state = ObjectiveState(*blocks, codes, proj, lab)
     batch_rng = np.random.default_rng(cfg.seed)
     batch_size = n if cfg.full_batch else min(cfg.batch_size, n)
 
@@ -243,24 +239,23 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
         except NumericalError as exc:
             raise NumericalError(f"epoch {epoch}, {step}: {exc}") from exc
 
-    def sweep(step, epoch, enc, inputs, feats, grad_fn, lr):
-        """One mini-batch pass over one encoder, then a full refresh of its
-        embedding block (updated in place)."""
+    def sweep(epoch, side):
+        """One mini-batch pass over one side's encoder, then a full refresh
+        of its embedding block (updated in place)."""
+        step, x, feats = f"{SIDES[side]} sweep", inputs[side], state.feats[side]
+        enc, lr = encs[side], (cfg.lr_image, cfg.lr_text)[side]
         for batch in _batches(batch_rng, n, batch_size):
-            out, tape = guarded(step, epoch, forward, enc, inputs[batch])
+            out, tape = guarded(step, epoch, forward, enc, x[batch])
             feats[:, batch] = out
-            g = guarded(step, epoch, grad_fn, state, hp_sweep, sim, batch)
+            g = guarded(step, epoch, feature_grad, state, hp_sweep, sim, batch, side)
             grads = backward(enc, tape, g)
             enc = guarded(step, epoch, sgd_step, enc, grads, lr)
-        out, _ = guarded(step, epoch, forward, enc, inputs)
-        feats[:] = out
-        return enc
+        feats[:] = guarded(step, epoch, forward, enc, x)[0]
+        encs[side] = enc
 
     def label_target():
         # v1 regresses the codes; the others the query-side embedding block
-        if cfg.variant == "v1":
-            return state.codes
-        return state.image_feats if hp.task == "i2t" else state.text_feats
+        return state.codes if cfg.variant == "v1" else state.feats[hp.query_side]
 
     def objective(epoch):
         return guarded("objective", epoch, objective_value, state, hp, sim,
@@ -269,22 +264,19 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
     for epoch in range(1, cfg.epochs + 1):
         tic = time.perf_counter()
 
-        img_enc = sweep("image sweep", epoch, img_enc, x, state.image_feats,
-                        image_feature_grad, cfg.lr_image)
-        txt_enc = sweep("text sweep", epoch, txt_enc, y, state.text_feats,
-                        text_feature_grad, cfg.lr_text)
+        for side in (0, 1):
+            sweep(epoch, side)
 
         if cfg.track_substeps:
             after_sweeps = objective(epoch)
 
         if cfg.variant == "v3":
-            state.codes = _relaxed_codes(state.image_feats, state.text_feats, hp)
+            state.codes = _relaxed_codes(*state.feats, hp)
         else:
             shift = (hp.label_weight * (state.proj @ state.labels)
                      if cfg.variant == "v1" else None)
             state.codes = guarded(
-                "code update", epoch, update_codes,
-                state.image_feats, state.text_feats, hp, shift,
+                "code update", epoch, update_codes, *state.feats, hp, shift,
             ).signs.astype(np.float64)
 
         if cfg.track_substeps:
@@ -311,8 +303,8 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
     return TaskModel(
         task=hp.task,
         variant=cfg.variant,
-        image_encoder=img_enc,
-        text_encoder=txt_enc,
+        image_encoder=encs[0],
+        text_encoder=encs[1],
         proj=state.proj,
         codes=CodeMatrix.from_real(state.codes),  # v3's real codes; +/-1 stay as they are
         hp=hp,
@@ -434,9 +426,10 @@ def load_model(path) -> TaskModel:
     img_enc = _read_encoder(rd)
     txt_enc = _read_encoder(rd)
     proj = rd.array("<f8", r * c, (r, c))
-    signs = rd.array(np.int8, r * n, (r, n))
-    if not all_pm1(signs):
-        raise LoadError("model file code block has entries other than +/-1")
+    try:
+        codes = CodeMatrix.from_signs(rd.array(np.int8, r * n, (r, n)))
+    except ContractError as exc:
+        raise LoadError("model file code block has entries other than +/-1") from exc
     (n_rows,) = rd.unpack("<I")
     log = []
     for _ in range(n_rows):
@@ -460,7 +453,7 @@ def load_model(path) -> TaskModel:
         image_encoder=img_enc,
         text_encoder=txt_enc,
         proj=proj,
-        codes=CodeMatrix.from_signs(signs),
+        codes=codes,
         hp=hp,
         train_log=tuple(log),
     )

@@ -577,6 +577,20 @@ def test_eval_with_a_split_id_beyond_int64_fails_cleanly(data_dir, model_dir, tm
         f"error: {ids}:1: index does not fit in 64 bits: '9223372036854775808'"]
 
 
+@pytest.mark.parametrize("case", ["split not utf-8", "manifest not utf-8", "dim 1e400"])
+def test_malformed_data_file_is_one_error_line(case, data_dir, model_dir, tmp_path, capsys):
+    bad = data_dir / (SPLIT_FILES[0] if case == "split not utf-8" else MANIFEST_NAME)
+    if case == "dim 1e400":
+        bad.write_text(bad.read_text().replace('"n": 60,', '"n": 1e400,'))
+    else:
+        bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
+    code = main(["eval", "--model", str(model_dir / "i2t.model"),
+                 "--data", str(data_dir), "--out", str(tmp_path / "e.csv")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0], err
+
+
 @pytest.mark.parametrize("command", ["encode", "eval", "retrieve"])
 def test_model_on_a_split_with_another_train_size_fails_cleanly(
         command, model_dir, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from xmhash.errors import ContractError
 from xmhash.gradcheck import DEFAULT_TOL, run_suite
-from xmhash.objective import image_feature_grad, text_feature_grad
+from xmhash.objective import feature_grad
 
 
 def test_suite_passes_on_the_real_gradients():
@@ -43,10 +43,11 @@ def test_suite_report_lines_are_deterministic():
 
 
 def test_suite_catches_a_planted_sign_error():
-    def wrong_image_grad(state, hp, sim, batch):
-        return -image_feature_grad(state, hp, sim, batch)
+    def wrong_image_grad(state, hp, sim, batch, side):
+        grad = feature_grad(state, hp, sim, batch, side)
+        return -grad if side == 0 else grad
 
-    report = run_suite(trials=4, seed=0, image_grad_fn=wrong_image_grad)
+    report = run_suite(trials=4, seed=0, grad_fn=wrong_image_grad)
     assert not report.all_passed
     failing = [r for r in report.results if not r.passed]
     assert failing
@@ -58,10 +59,11 @@ def test_suite_catches_a_planted_sign_error():
 
 
 def test_suite_catches_a_planted_text_scale_error():
-    def wrong_text_grad(state, hp, sim, batch):
-        return 1.5 * text_feature_grad(state, hp, sim, batch)
+    def wrong_text_grad(state, hp, sim, batch, side):
+        grad = feature_grad(state, hp, sim, batch, side)
+        return 1.5 * grad if side == 1 else grad
 
-    report = run_suite(trials=4, seed=0, text_grad_fn=wrong_text_grad)
+    report = run_suite(trials=4, seed=0, grad_fn=wrong_text_grad)
     assert not report.all_passed
     assert all("text" in r.name for r in report.results if not r.passed)
 

@@ -1,9 +1,11 @@
-"""src holds the program and nothing else.
+"""src holds the program and nothing else, and decides each thing once.
 
-A helper that only tests call belongs in tests/reference.py. This check
-parses every module of the package except __init__.py (whose re-exports
-are no use) and asserts that each function, method and class defined
-there is referenced by name somewhere in those modules.
+A helper that only tests call belongs in tests/reference.py. The first
+check parses every module of the package except __init__.py (whose
+re-exports are no use) and asserts that each function, method and class
+defined there is referenced by name somewhere in those modules. The
+second asserts that one function maps a retrieval direction to its query
+side, so no other code compares a direction name.
 """
 
 import ast
@@ -14,6 +16,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "xmhash"
 # read_codes has no caller in src, yet it stays: it is the only reader of
 # the code files that `xmhash encode` writes
 UNCALLED = {"read_codes"}
+
+TASK_NAMES = {"i2t", "t2i"}
+QUERY_SIDE = "query_side"  # the one function that compares a direction name
 
 
 def _definitions_and_references(paths):
@@ -37,3 +42,29 @@ def test_every_src_definition_has_a_src_caller():
               if name not in referenced and name not in UNCALLED
               and not (name.startswith("__") and name.endswith("__"))]
     assert not unused, "defined in src but referenced only outside it: " + ", ".join(unused)
+
+
+def _task_name_comparisons(path):
+    """(enclosing function, place) of each == or != against a direction name."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                and any(isinstance(o, ast.Constant) and o.value in TASK_NAMES
+                        for o in (node.left, *node.comparators))):
+            found.append((func, f"{path.name}:{node.lineno}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def test_only_query_side_compares_direction_names():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _task_name_comparisons(path)]
+    stray = [f"{where} in {func}" for func, where in found if func != QUERY_SIDE]
+    assert not stray, "direction name compared outside query_side: " + ", ".join(stray)
+    assert [func for func, _ in found] == [QUERY_SIDE], found

@@ -19,11 +19,10 @@ from xmhash.objective import (
     HyperParams,
     ObjectiveState,
     check_state,
-    image_feature_grad,
+    feature_grad,
     objective_value,
     pairwise_nll,
     softplus,
-    text_feature_grad,
 )
 
 LOG2 = math.log(2.0)
@@ -258,7 +257,7 @@ def test_image_grad_hand_value_quantization_pull():
         labels=np.ones((1, 1)),
     )
     hp = HyperParams(0.5, 0.0, 0.0, 0.0, task="i2t")
-    grad = image_feature_grad(state, hp, all_ones_sim(1), np.array([0]))
+    grad = feature_grad(state, hp, all_ones_sim(1), np.array([0]), 0)
     assert np.array_equal(grad, [[-1.0]])
 
 
@@ -271,7 +270,7 @@ def test_text_grad_hand_value_quantization_pull():
         labels=np.ones((1, 1)),
     )
     hp = HyperParams(0.0, 0.5, 0.0, 0.0, task="t2i")
-    grad = text_feature_grad(state, hp, all_ones_sim(1), np.array([0]))
+    grad = feature_grad(state, hp, all_ones_sim(1), np.array([0]), 1)
     assert np.array_equal(grad, [[-1.0]])
 
 
@@ -285,7 +284,7 @@ def test_image_grad_zero_when_nothing_pulls():
         labels=np.eye(n),
     )
     hp = HyperParams(0.0, 0.0, 0.0, 0.0, task="i2t")
-    grad = image_feature_grad(state, hp, all_zeros_sim(n), np.arange(n))
+    grad = feature_grad(state, hp, all_zeros_sim(n), np.arange(n), 0)
     assert np.all(grad == 0.0)
 
 
@@ -300,7 +299,7 @@ def test_text_grad_zero_for_similar_pairs_with_zero_images():
         labels=np.ones((1, n)),
     )
     hp = HyperParams(0.0, 0.0, 0.0, 0.0, task="i2t")
-    grad = text_feature_grad(state, hp, all_ones_sim(n), np.arange(n))
+    grad = feature_grad(state, hp, all_ones_sim(n), np.arange(n), 1)
     assert np.all(grad == 0.0)
 
 
@@ -309,8 +308,8 @@ def test_feature_grads_match_finite_differences(task):
     state, sim = random_state(7, r=3, n=5, c=2)
     hp = HyperParams(0.3, 0.15, 0.08, 0.2, task=task)
     batch = np.array([0, 2, 4])
-    for which, grad_fn in (("image", image_feature_grad), ("text", text_feature_grad)):
-        analytic = grad_fn(state, hp, sim, batch)
+    for side, which in enumerate(("image", "text")):
+        analytic = feature_grad(state, hp, sim, batch, side)
         numeric = fd_feature_grad(state, hp, sim, batch, which)
         scale = np.maximum(1.0, np.abs(numeric))
         assert np.max(np.abs(analytic - numeric) / scale) < 1e-5
@@ -330,8 +329,8 @@ def test_text_grad_is_image_grad_on_the_swapped_state():
     )
     batch = np.array([1, 3, 4])
     for qi, qt, lw, bw in itertools.product((0.0, 0.1), repeat=4):
-        image = image_feature_grad(state, HyperParams(qi, qt, lw, bw, task="i2t"), sim, batch)
-        text = text_feature_grad(swapped, HyperParams(qt, qi, lw, bw, task="t2i"), sim, batch)
+        image = feature_grad(state, HyperParams(qi, qt, lw, bw, task="i2t"), sim, batch, 0)
+        text = feature_grad(swapped, HyperParams(qt, qi, lw, bw, task="t2i"), sim, batch, 1)
         np.testing.assert_allclose(text, image, rtol=1e-12, atol=0)
 
 
@@ -380,13 +379,13 @@ def test_label_term_applies_only_to_query_side():
     without = HyperParams(0.1, 0.1, 0.0, 0.0, task="t2i")
     # t2i: the image block has no label term, so its gradient ignores label_weight
     assert np.array_equal(
-        image_feature_grad(state, with_label, sim, batch),
-        image_feature_grad(state, without, sim, batch),
+        feature_grad(state, with_label, sim, batch, 0),
+        feature_grad(state, without, sim, batch, 0),
     )
     # ... while the text block does not
     assert not np.array_equal(
-        text_feature_grad(state, with_label, sim, batch),
-        text_feature_grad(state, without, sim, batch),
+        feature_grad(state, with_label, sim, batch, 1),
+        feature_grad(state, without, sim, batch, 1),
     )
 
 
@@ -394,9 +393,11 @@ def test_grad_batch_validation():
     state, sim = random_state(9)
     hp = HyperParams(0.1, 0.1, 0.1, 0.1, task="i2t")
     with pytest.raises(ContractError, match="empty"):
-        image_feature_grad(state, hp, sim, np.array([], dtype=int))
+        feature_grad(state, hp, sim, np.array([], dtype=int), 0)
     with pytest.raises(ContractError, match="out of range"):
-        text_feature_grad(state, hp, sim, np.array([99]))
+        feature_grad(state, hp, sim, np.array([99]), 1)
+    with pytest.raises(ContractError, match="side"):
+        feature_grad(state, hp, sim, np.arange(3), 2)
 
 
 # --- validation --------------------------------------------------------------------
