@@ -207,12 +207,7 @@ def synth(
     for k in range(c):
         txt_protos[k, k * block : (k + 1) * block] = 4.0
 
-    labels = np.zeros((c, n), dtype=np.uint8)
-    n_cls = rng.integers(1, min(2, c) + 1, size=n)
-    for i in range(n):
-        chosen = rng.choice(c, size=n_cls[i], replace=False)
-        labels[chosen, i] = 1
-
+    labels = _draw_labels(rng, n, c)
     member = labels.T.astype(np.float64)  # (n, c)
     img = (member @ img_protos) / member.sum(axis=1, keepdims=True)
     img += noise * rng.standard_normal((n, d_x))
@@ -230,6 +225,26 @@ def synth(
     ds = MultiModalDataset(name, img, txt, labels)
     ds.validate()
     return ds
+
+
+def _draw_labels(rng: np.random.Generator, n: int, c: int) -> np.ndarray:
+    """(c, n) 0/1 labels, 1 or 2 of c classes per item, drawn in one
+    integers() call in the order that one rng.choice(c, k, replace=False) per
+    item draws them: Floyd's sampling draws below c, or below c-1 and below
+    c, then choice's shuffle draw below 2, kept only for its place in the
+    stream (a 0 in steps is no draw). An oracle test pins the labels and the
+    stream after them to that per-item loop."""
+    pair = rng.integers(1, min(2, c) + 1, size=n) == 2
+    steps = np.where(pair[:, None], [c - 1, c, 2], [c, 0, 0])
+    draws = np.zeros(steps.shape, dtype=np.int64)
+    draws[steps > 0] = rng.integers(0, steps[steps > 0])
+    # Floyd: the second class is the second draw, or c-1 if that repeats the first
+    second = np.where(draws[:, 1] == draws[:, 0], c - 1, draws[:, 1])
+    items = np.arange(n)
+    labels = np.zeros((c, n), dtype=np.uint8)
+    labels[draws[:, 0], items] = 1
+    labels[second[pair], items[pair]] = 1
+    return labels
 
 
 def _standardize(feats: np.ndarray) -> np.ndarray:
@@ -289,10 +304,11 @@ def load_dataset(manifest_path) -> MultiModalDataset:
         raise LoadError(f"unsupported dtype {manifest['dtype']!r}, expected 'f32le'")
     if manifest["layout"] != "row_major":
         raise LoadError(f"unsupported layout {manifest['layout']!r}, expected 'row_major'")
-    try:
-        n, d_x, d_y, c = (int(manifest[k]) for k in ("n", "d_x", "d_y", "c"))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise LoadError(f"manifest dims must be integers: {path}: {exc}") from exc
+    for k in ("n", "d_x", "d_y", "c"):
+        if type(manifest[k]) is not int:  # not a float, a string or a bool
+            raise LoadError(f"manifest dim {k} must be a JSON integer, "
+                            f"got {manifest[k]!r}: {path}")
+    n, d_x, d_y, c = (manifest[k] for k in ("n", "d_x", "d_y", "c"))
     if min(n, d_x, d_y, c) < 1:
         raise LoadError(f"manifest dims must be positive, got n={n} d_x={d_x} d_y={d_y} c={c}")
 
@@ -333,7 +349,7 @@ def save_split(split: SplitSpec, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for fname, ids in zip(SPLIT_FILES, (split.query_ids, split.retrieval_ids, split.train_ids)):
-        (out / fname).write_text("".join(f"{int(i)}\n" for i in ids))
+        (out / fname).write_text("".join(f"{i}\n" for i in ids.tolist()))
 
 
 # one unsigned decimal per LF-terminated line, as save_split writes them;

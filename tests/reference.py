@@ -5,9 +5,10 @@ combines library calls the way a user would: the AP of one ranked
 relevance list, the Hamming distance of one code pair, the top-k ids of
 one query, the similarity of one instance pair, both retrieval directions
 trained one after the other, and a Welch test on two per-query AP lists.
-Two more are the library's earlier kernels, kept as oracles: a similarity
-block as a float product of the labels, and the pairwise likelihood with
-fresh temporaries per block. Tests compare the library against them.
+Three more are the library's earlier kernels, kept as oracles: a
+similarity block as a float product of the labels, the pairwise likelihood
+with fresh temporaries per block, and synth's label draw as one
+rng.choice per item. Tests compare the library against them.
 """
 
 import numpy as np
@@ -128,3 +129,14 @@ def pairwise_nll(img_feats: np.ndarray, txt_feats: np.ndarray, labels: np.ndarra
             soft = np.maximum(phi, 0.0) + np.log1p(np.exp(-np.abs(phi)))
         total += float(soft.sum() - (s * phi).sum())
     return total
+
+
+def synth_labels(rng: np.random.Generator, n: int, c: int) -> np.ndarray:
+    """synth's (c, n) label draw as the library made it before it was
+    vectorised: 1 or 2 of c classes per item, one rng.choice per item."""
+    labels = np.zeros((c, n), dtype=np.uint8)
+    n_cls = rng.integers(1, min(2, c) + 1, size=n)
+    for i in range(n):
+        chosen = rng.choice(c, size=n_cls[i], replace=False)
+        labels[chosen, i] = 1
+    return labels

@@ -577,11 +577,22 @@ def test_eval_with_a_split_id_beyond_int64_fails_cleanly(data_dir, model_dir, tm
         f"error: {ids}:1: index does not fit in 64 bits: '9223372036854775808'"]
 
 
-@pytest.mark.parametrize("case", ["split not utf-8", "manifest not utf-8", "dim 1e400"])
+# manifest edits that make a dimension other than a JSON integer
+BAD_DIMS = {
+    "dim 1e400": ('"n": 60,', '"n": 1e400,'),
+    "dim 4.9": ('"c": 3,', '"c": 4.9,'),
+    "dim true": ('"c": 3,', '"c": true,'),
+    'dim "4"': ('"c": 3,', '"c": "4",'),
+}
+
+
+@pytest.mark.parametrize("case", ["split not utf-8", "manifest not utf-8", *BAD_DIMS])
 def test_malformed_data_file_is_one_error_line(case, data_dir, model_dir, tmp_path, capsys):
     bad = data_dir / (SPLIT_FILES[0] if case == "split not utf-8" else MANIFEST_NAME)
-    if case == "dim 1e400":
-        bad.write_text(bad.read_text().replace('"n": 60,', '"n": 1e400,'))
+    if case in BAD_DIMS:
+        text = bad.read_text()
+        assert BAD_DIMS[case][0] in text
+        bad.write_text(text.replace(*BAD_DIMS[case]))
     else:
         bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
     code = main(["eval", "--model", str(model_dir / "i2t.model"),

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import overlap_block, pair, similarity
+from reference import overlap_block, pair, similarity, synth_labels
+from xmhash import data
 from xmhash.data import (
     MANIFEST_NAME,
     SPLIT_FILES,
@@ -213,6 +214,27 @@ def test_synth_text_features_nonnegative():
     assert ds.text_features.min() >= 0.0
 
 
+@settings(max_examples=300, deadline=None)
+@given(shape=st.integers(1, 40).flatmap(lambda c: st.tuples(st.integers(c, 400), st.just(c))),
+       seed=st.integers(0, 2**128 - 1))
+def test_label_draw_matches_the_per_item_choice_loop(shape, seed):
+    n, c = shape
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(data._draw_labels(rng, n, c), synth_labels(ref_rng, n, c))
+    # the same stream afterwards, so every later draw of synth is unchanged
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_synth_matches_the_per_item_choice_loop_at_50k(monkeypatch):
+    # the retrieval50k bench shape: 50,000 items, 4 classes, noise 0.2
+    fast = synth(50_000, 16, 32, 4, noise=0.2, seed=1)
+    monkeypatch.setattr(data, "_draw_labels", synth_labels)
+    slow = synth(50_000, 16, 32, 4, noise=0.2, seed=1)
+    assert np.array_equal(fast.labels, slow.labels)
+    assert np.array_equal(fast.image_features, slow.image_features)
+    assert np.array_equal(fast.text_features, slow.text_features)
+
+
 def test_synth_rejects_bad_sizes():
     with pytest.raises(ContractError, match="n >= c"):
         synth(2, 8, 8, 3)
@@ -377,6 +399,17 @@ def test_split_round_trip(tmp_path):
     assert np.array_equal(loaded.query_ids, split.query_ids)
     assert np.array_equal(loaded.retrieval_ids, split.retrieval_ids)
     assert np.array_equal(loaded.train_ids, split.train_ids)
+
+
+def test_save_split_bytes_match_the_per_scalar_form(tmp_path):
+    big = 2**62
+    split = make_split(500, 100, 300, seed=4)
+    split = SplitSpec(split.query_ids,
+                      np.concatenate([split.retrieval_ids, [big - 1, big, big + 1]]),
+                      np.array([0, 2**63 - 1, big]))
+    save_split(split, tmp_path)
+    for fname, ids in zip(SPLIT_FILES, (split.query_ids, split.retrieval_ids, split.train_ids)):
+        assert (tmp_path / fname).read_bytes() == "".join(f"{int(i)}\n" for i in ids).encode()
 
 
 def test_split_load_rejects_missing_file(tmp_path):
