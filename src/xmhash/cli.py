@@ -141,7 +141,6 @@ def cmd_train(args) -> int:
         seed=args.seed, full_batch=args.full_batch, hidden_dim=args.hidden,
         early_stop=args.early_stop,
     )
-    cfg.validate()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tasks = TASKS if args.task == "both" else (args.task,)

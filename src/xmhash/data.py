@@ -38,7 +38,7 @@ SIDES = ("image", "text")  # the modalities by side index
 
 @dataclass(frozen=True)
 class MultiModalDataset:
-    """Aligned image features, text features, and binary labels."""
+    """Aligned image features, text features, and binary labels; checked when built."""
 
     name: str
     image_features: np.ndarray  # (n, d_x) float64
@@ -61,7 +61,7 @@ class MultiModalDataset:
     def c(self) -> int:
         return self.labels.shape[0]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.image_features.ndim != 2 or self.text_features.ndim != 2:
             raise ContractError("feature blocks must be 2-D")
         if self.labels.ndim != 2:
@@ -222,9 +222,7 @@ def synth(
     img = scale * _standardize(img)
     txt_std = txt.std(axis=0)
     txt = scale * (txt / np.where(txt_std > 0, txt_std, 1.0))
-    ds = MultiModalDataset(name, img, txt, labels)
-    ds.validate()
-    return ds
+    return MultiModalDataset(name, img, txt, labels)
 
 
 def _draw_labels(rng: np.random.Generator, n: int, c: int) -> np.ndarray:
@@ -256,7 +254,6 @@ def _standardize(feats: np.ndarray) -> np.ndarray:
 
 def save_dataset(ds: MultiModalDataset, out_dir) -> Path:
     """Write blobs plus manifest; returns the manifest path."""
-    ds.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     blobs = {
@@ -328,21 +325,15 @@ def load_dataset(manifest_path) -> MultiModalDataset:
     lab = np.frombuffer(read_blob("label_blob", c * n), dtype=np.uint8)
     if not np.isin(lab, (0, 1)).all():
         raise LoadError("label blob contains bytes other than 0/1")
-    labels = lab.reshape(c, n)
-    empty = np.flatnonzero(labels.sum(axis=0) == 0)
-    if empty.size:
-        raise LoadError(f"instance {int(empty[0])} has no labels")
-    ds = MultiModalDataset(
-        str(manifest["name"]),
-        img.astype(np.float64).reshape(n, d_x),
-        txt.astype(np.float64).reshape(n, d_y),
-        labels.copy(),
-    )
     try:
-        ds.validate()
+        return MultiModalDataset(
+            str(manifest["name"]),
+            img.astype(np.float64).reshape(n, d_x),
+            txt.astype(np.float64).reshape(n, d_y),
+            lab.reshape(c, n).copy(),
+        )
     except ContractError as exc:
         raise LoadError(f"dataset blobs violate invariants: {exc}") from exc
-    return ds
 
 
 def save_split(split: SplitSpec, out_dir) -> None:

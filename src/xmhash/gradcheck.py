@@ -111,7 +111,7 @@ def _check_feature_grads(state, sim, batch, hp, tag, tol, grad_fn):
     out = []
 
     def eval_obj():
-        return objective_value(state, hp, sim, binary_codes=False)
+        return objective_value(state, hp, sim)
 
     # FD loops mutate live column views of the state entry by entry
     for side, (feats, symbol) in enumerate(zip(state.feats, ("dF", "dG"))):
@@ -142,7 +142,7 @@ def _check_encoder_chain(rng, state, sim, batch, hp, tag, tol, grad_fn):
         def eval_obj():
             block, _ = forward(enc, xb)
             feats_block[:, batch] = block
-            return objective_value(state, hp, sim, binary_codes=False)
+            return objective_value(state, hp, sim)
 
         block, tape = forward(enc, xb)
         feats_block[:, batch] = block

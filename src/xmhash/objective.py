@@ -21,7 +21,6 @@ import numpy as np
 
 from .data import PairwiseSimilarity
 from .errors import ContractError, NumericalError
-from .hamming import all_pm1
 
 TASKS = ("i2t", "t2i")
 
@@ -36,7 +35,7 @@ class HyperParams:
     quant_image / quant_text scale the code-quantization penalties of the
     image and text embedding blocks, label_weight scales the
     projection-regression term, balance_weight scales the row-sum balance
-    penalty and the projection ridge.
+    penalty and the projection ridge. Checked when built.
     """
 
     quant_image: float
@@ -50,7 +49,7 @@ class HyperParams:
         """The side that queries and keeps the label term: 0 for i2t, 1 for t2i."""
         return 0 if self.task == "i2t" else 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise ContractError(f"task must be one of {TASKS}, got {self.task!r}")
         for field in ("quant_image", "quant_text", "label_weight", "balance_weight"):
@@ -64,8 +63,7 @@ class ObjectiveState:
     """Everything the alternating steps read and write.
 
     codes stay in {-1,+1} during standard training; the relaxed trainer
-    variant temporarily holds real values there, so the binary check is a
-    flag on check_state rather than unconditional.
+    variant holds real values there until it binarizes them at the end.
     """
 
     image_feats: np.ndarray  # (r, n)
@@ -78,26 +76,6 @@ class ObjectiveState:
     def feats(self) -> tuple:
         """The embedding blocks by side: (image_feats, text_feats)."""
         return self.image_feats, self.text_feats
-
-
-def check_state(state: ObjectiveState, binary_codes: bool = True) -> None:
-    f, g, b, p, lab = (
-        state.image_feats, state.text_feats, state.codes, state.proj, state.labels,
-    )
-    if f.ndim != 2 or g.shape != f.shape or b.shape != f.shape:
-        raise ContractError(
-            f"embedding/code blocks must share shape (r, n): {f.shape} {g.shape} {b.shape}"
-        )
-    if p.shape != (f.shape[0], lab.shape[0]) or lab.shape[1] != f.shape[1]:
-        raise ContractError(
-            f"projection/labels misaligned: proj {p.shape}, labels {lab.shape}, feats {f.shape}"
-        )
-    for name, arr in (("image embeddings", f), ("text embeddings", g),
-                      ("codes", b), ("projection", p)):
-        if not np.all(np.isfinite(arr)):
-            raise NumericalError(f"{name} contain non-finite entries")
-    if binary_codes and not all_pm1(b):
-        raise ContractError("codes must be +/-1")
 
 
 def softplus(x, out=None):
@@ -123,7 +101,7 @@ def pairwise_nll(img_feats: np.ndarray, txt_feats: np.ndarray,
     Pair (i, j) scores half the inner product of image embedding i and text
     embedding j; the term is softplus(score) - overlap * score, summed over
     all n^2 pairs, streamed in row blocks through two buffers made once per
-    call. The blocks are taken as finite: objective_value checks them first.
+    call. The blocks are taken as finite: the trainer checks each one it makes.
     """
     if img_feats.shape != txt_feats.shape:
         raise ContractError(
@@ -147,16 +125,13 @@ def _label_fit(state: ObjectiveState) -> np.ndarray:
     return state.proj @ state.labels
 
 
-def objective_value(state: ObjectiveState, hp: HyperParams,
-                    sim: PairwiseSimilarity, binary_codes: bool = True,
+def objective_value(state: ObjectiveState, hp: HyperParams, sim: PairwiseSimilarity,
                     label_target: np.ndarray | None = None) -> float:
     """Full objective for the direction named by hp.task.
 
     The label term regresses label_target onto the labels. It defaults to
     the query-side embedding block; the v1 trainer variant passes the codes.
     """
-    hp.validate()
-    check_state(state, binary_codes=binary_codes)
     f, g, b = state.image_feats, state.text_feats, state.codes
     total = pairwise_nll(f, g, sim)
     total += hp.quant_image * float(((b - f) ** 2).sum())
@@ -207,8 +182,8 @@ def feature_grad(state: ObjectiveState, hp: HyperParams,
     (r, len(batch)). The label-regression term contributes only on the
     query side of hp.task; the balance term contributes the same row-sum
     vector to every column. The state's blocks are taken as well formed and
-    finite: the trainer validates hp once and each block where it is made
-    (forward, update_codes, update_projection).
+    finite: hp is checked when built, and the trainer checks each block
+    where it is made (forward, update_codes, update_projection).
     """
     if side not in (0, 1):
         raise ContractError(f"side must be 0 (image) or 1 (text), got {side!r}")

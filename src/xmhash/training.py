@@ -79,7 +79,7 @@ class TrainConfig:
     early_stop: bool = False
     track_substeps: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.bits < 1:
             raise ContractError(f"bits must be >= 1, got {self.bits}")
         if self.epochs < 1:
@@ -127,7 +127,6 @@ def update_codes(img_feats: np.ndarray, txt_feats: np.ndarray, hp: HyperParams,
     used by the v1 variant's projection term); zero maps to +1, which is an
     argmin tie.
     """
-    hp.validate()
     if hp.quant_image + hp.quant_text == 0.0:
         raise ContractError(
             "code update undefined when quant_image and quant_text are both zero"
@@ -190,11 +189,8 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
 
     Deterministic for fixed (cfg, hp, dataset, split): all randomness flows
     from cfg.seed through fixed offsets (batch order, encoder inits, code
-    init, projection init).
+    init, projection init). Only split is checked here; the rest when built.
     """
-    cfg.validate()
-    hp.validate()
-    ds.validate()
     split.validate(ds.n)
 
     train_ids = np.asarray(split.train_ids, dtype=np.int64)
@@ -259,7 +255,7 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
 
     def objective(epoch):
         return guarded("objective", epoch, objective_value, state, hp, sim,
-                       cfg.variant != "v3", label_target())
+                       label_target())
 
     for epoch in range(1, cfg.epochs + 1):
         tic = time.perf_counter()
@@ -437,18 +433,16 @@ def load_model(path) -> TaskModel:
         log.append(TrainLogRow(epoch, obj, 0.0))
     if rd.pos != len(rd.buf):
         raise LoadError(f"model file has {len(rd.buf) - rd.pos} trailing bytes")
-    task = TASKS[task_tag]
-    hp = HyperParams(*hp_vals, task=task)
     if img_enc.output_dim != r or txt_enc.output_dim != r:
         raise LoadError("model file encoder output dims disagree with header")
+    if not np.all(np.isfinite(proj)):
+        raise LoadError("model file projection has non-finite entries")
     try:
-        if not np.all(np.isfinite(proj)):
-            raise LoadError("model file projection has non-finite entries")
-        hp.validate()
+        hp = HyperParams(*hp_vals, task=TASKS[task_tag])
     except ContractError as exc:
         raise LoadError(f"model file hyperparameters invalid: {exc}") from exc
     return TaskModel(
-        task=task,
+        task=hp.task,
         variant=VARIANTS[variant_tag],
         image_encoder=img_enc,
         text_encoder=txt_enc,

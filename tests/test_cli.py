@@ -586,20 +586,37 @@ BAD_DIMS = {
 }
 
 
-@pytest.mark.parametrize("case", ["split not utf-8", "manifest not utf-8", *BAD_DIMS])
+# blob edits that break a dataset invariant, and what the error line names
+BAD_BLOBS = {
+    "item without labels": ("labels.u8", "instance 7 has no labels"),
+    "image NaN": ("image.f32", "image features contain non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("case", ["split not utf-8", "manifest not utf-8", *BAD_DIMS,
+                                  *BAD_BLOBS])
 def test_malformed_data_file_is_one_error_line(case, data_dir, model_dir, tmp_path, capsys):
     bad = data_dir / (SPLIT_FILES[0] if case == "split not utf-8" else MANIFEST_NAME)
+    named = str(bad)
     if case in BAD_DIMS:
         text = bad.read_text()
         assert BAD_DIMS[case][0] in text
         bad.write_text(text.replace(*BAD_DIMS[case]))
+    elif case in BAD_BLOBS:
+        bad, named = data_dir / BAD_BLOBS[case][0], BAD_BLOBS[case][1]
+        blob = bytearray(bad.read_bytes())
+        if case == "item without labels":
+            blob[7::60] = bytes(3)  # column 7 of the (c=3, n=60) label block
+        else:
+            blob[:4] = np.array(np.nan, dtype="<f4").tobytes()  # image feature (0, 0)
+        bad.write_bytes(bytes(blob))
     else:
         bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
     code = main(["eval", "--model", str(model_dir / "i2t.model"),
                  "--data", str(data_dir), "--out", str(tmp_path / "e.csv")])
     assert code == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0], err
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
 
 
 @pytest.mark.parametrize("command", ["encode", "eval", "retrieve"])

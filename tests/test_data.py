@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from reference import overlap_block, pair, similarity, synth_labels
 from xmhash import data
 from xmhash.data import (
-    MANIFEST_NAME,
     SPLIT_FILES,
     MultiModalDataset,
     PairwiseSimilarity,
@@ -129,45 +128,39 @@ def test_pairwise_rejects_non_binary_labels():
 # --- dataset container ----------------------------------------------------
 
 def test_dataset_validate_accepts_synth(tiny_ds):
-    tiny_ds.validate()
     assert tiny_ds.n == 60 and tiny_ds.d_x == 8 and tiny_ds.d_y == 12 and tiny_ds.c == 3
 
 
 def test_dataset_rejects_empty():
-    ds = MultiModalDataset("empty", np.zeros((0, 2)), np.zeros((0, 3)),
-                           np.zeros((2, 0), dtype=np.uint8))
     with pytest.raises(ContractError, match="at least one instance"):
-        ds.validate()
+        MultiModalDataset("empty", np.zeros((0, 2)), np.zeros((0, 3)),
+                          np.zeros((2, 0), dtype=np.uint8))
 
 
 def test_dataset_rejects_misaligned_blocks():
-    ds = MultiModalDataset("bad", np.zeros((3, 2)), np.zeros((4, 2)),
-                           np.ones((2, 3), dtype=np.uint8))
     with pytest.raises(ContractError, match="misaligned"):
-        ds.validate()
+        MultiModalDataset("bad", np.zeros((3, 2)), np.zeros((4, 2)),
+                          np.ones((2, 3), dtype=np.uint8))
 
 
 def test_dataset_names_unlabeled_instance():
     lab = np.ones((2, 3), dtype=np.uint8)
     lab[:, 1] = 0
-    ds = MultiModalDataset("bad", np.zeros((3, 2)), np.zeros((3, 2)), lab)
     with pytest.raises(ContractError, match="instance 1"):
-        ds.validate()
+        MultiModalDataset("bad", np.zeros((3, 2)), np.zeros((3, 2)), lab)
 
 
 def test_dataset_rejects_non_finite_features():
     img = np.zeros((2, 2))
     img[1, 0] = np.inf
-    ds = MultiModalDataset("bad", img, np.zeros((2, 2)), np.ones((1, 2), dtype=np.uint8))
     with pytest.raises(ContractError, match="non-finite"):
-        ds.validate()
+        MultiModalDataset("bad", img, np.zeros((2, 2)), np.ones((1, 2), dtype=np.uint8))
 
 
 def test_dataset_rejects_non_binary_labels():
-    ds = MultiModalDataset("bad", np.zeros((2, 2)), np.zeros((2, 2)),
-                           np.full((1, 2), 3, dtype=np.uint8))
     with pytest.raises(ContractError, match="0 or 1"):
-        ds.validate()
+        MultiModalDataset("bad", np.zeros((2, 2)), np.zeros((2, 2)),
+                          np.full((1, 2), 3, dtype=np.uint8))
 
 
 # --- synth ----------------------------------------------------------------
@@ -315,14 +308,6 @@ def test_dataset_load_accepts_directory_path(tmp_path, tiny_ds):
     save_dataset(tiny_ds, tmp_path)
     loaded = load_dataset(tmp_path)
     assert loaded.n == tiny_ds.n
-
-
-def test_save_rejects_empty_dataset(tmp_path):
-    ds = MultiModalDataset("empty", np.zeros((0, 2)), np.zeros((0, 3)),
-                           np.zeros((2, 0), dtype=np.uint8))
-    with pytest.raises(ContractError):
-        save_dataset(ds, tmp_path / "d")
-    assert not (tmp_path / "d" / MANIFEST_NAME).exists()
 
 
 def test_save_overwrites_existing_directory(tmp_path, tiny_ds):

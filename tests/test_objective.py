@@ -18,7 +18,6 @@ from xmhash.objective import (
     _pairwise_grad,
     HyperParams,
     ObjectiveState,
-    check_state,
     feature_grad,
     objective_value,
     pairwise_nll,
@@ -70,9 +69,9 @@ def fd_feature_grad(state, hp, sim, batch, which, h=1e-6):
         for i in range(arr.shape[0]):
             keep = arr[i, j]
             arr[i, j] = keep + h
-            hi = objective_value(state, hp, sim, binary_codes=False)
+            hi = objective_value(state, hp, sim)
             arr[i, j] = keep - h
-            lo = objective_value(state, hp, sim, binary_codes=False)
+            lo = objective_value(state, hp, sim)
             arr[i, j] = keep
             grad[i, col] = (hi - lo) / (2 * h)
     return grad
@@ -404,24 +403,9 @@ def test_grad_batch_validation():
 
 def test_hyperparams_reject_negative_weight():
     with pytest.raises(ContractError, match="quant_text"):
-        HyperParams(0.1, -0.1, 0.0, 0.0).validate()
+        HyperParams(0.1, -0.1, 0.0, 0.0)
 
 
 def test_hyperparams_reject_unknown_task():
     with pytest.raises(ContractError, match="task"):
-        HyperParams(0.1, 0.1, 0.1, 0.1, task="sideways").validate()
-
-
-def test_check_state_rejects_non_binary_codes():
-    state, _ = random_state(10)
-    state.codes[0, 0] = 0.5
-    with pytest.raises(ContractError, match=r"\+/-1"):
-        check_state(state, binary_codes=True)
-    check_state(state, binary_codes=False)
-
-
-def test_check_state_rejects_misaligned_projection():
-    state, _ = random_state(11, c=2)
-    state.proj = np.zeros((state.proj.shape[0], 5))
-    with pytest.raises(ContractError, match="misaligned"):
-        check_state(state)
+        HyperParams(0.1, 0.1, 0.1, 0.1, task="sideways")

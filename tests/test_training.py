@@ -287,15 +287,15 @@ def test_train_both_rejects_mismatched_tasks(tiny_ds, tiny_split, desk_cfg):
 
 def test_train_config_validation():
     with pytest.raises(ContractError, match="bits"):
-        TrainConfig(bits=0).validate()
+        TrainConfig(bits=0)
     with pytest.raises(ContractError, match="epochs"):
-        TrainConfig(epochs=0).validate()
+        TrainConfig(epochs=0)
     with pytest.raises(ContractError, match="lr_image"):
-        TrainConfig(lr_image=0.5).validate()
+        TrainConfig(lr_image=0.5)
     with pytest.raises(ContractError, match="variant"):
-        TrainConfig(variant="v9").validate()
+        TrainConfig(variant="v9")
     with pytest.raises(ContractError, match="seed"):
-        TrainConfig(seed=-1).validate()
+        TrainConfig(seed=-1)
 
 
 # --- variants -----------------------------------------------------------------------
@@ -406,6 +406,15 @@ def test_model_load_rejects_trailing_bytes(tmp_path, trained_i2t):
     path = save_model(trained_i2t, tmp_path / "m.model")
     path.write_bytes(path.read_bytes() + b"\0\0")
     with pytest.raises(LoadError, match="trailing"):
+        load_model(path)
+
+
+def test_model_load_rejects_negative_weight(tmp_path, trained_i2t):
+    path = save_model(trained_i2t, tmp_path / "m.model")
+    payload = bytearray(path.read_bytes())
+    payload[20:28] = np.array(-1.0, dtype="<f8").tobytes()  # quant_image, the first f64
+    path.write_bytes(bytes(payload))
+    with pytest.raises(LoadError, match="hyperparameters invalid"):
         load_model(path)
 
 
