@@ -121,11 +121,14 @@ class PairwiseSimilarity:
         """
         rows = np.asarray(rows, dtype=np.intp)
         self._check_ids(rows, "row")
-        lc = self._packed
         if cols is not None:
             cols = np.asarray(cols, dtype=np.intp)
             self._check_ids(cols, "column")
-            lc = lc[:, cols]
+        return self.overlap(rows, cols)
+
+    def overlap(self, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        """block without the id checks, for kernels whose ids are in range."""
+        lc = self._packed if cols is None else self._packed[:, cols]
         return label_overlap(self._packed[:, rows], lc)
 
 

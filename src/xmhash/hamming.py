@@ -8,6 +8,10 @@ past r in the last word stay zero. sgn(0) maps to +1 everywhere.
 The on-disk code file is a 12-byte header (u32 code length, u32 instance
 count, u32 format version, little-endian) followed by the packed words,
 column-major by instance (instance 0's words first).
+
+Items are encoded in row chunks (encode_chunks) whose widest activation
+stays under 4 MB, so encoding memory is flat in the database size while
+every float and code bit matches the one-block forward pass.
 """
 
 import struct
@@ -34,6 +38,12 @@ TILE_ENTRIES = 2 ** 16
 # 170 MB eval costs about 12 ms and serial ranking about 7.5 ns per entry,
 # so the split pays once half a ranking outlasts the fork: 3.2 M entries
 FORK_ENTRIES = 2 ** 22
+
+# items are encoded in chunks whose widest activation holds about this many
+# float64 entries (2 MB), in whole multiples of 64 rows with the remainder in
+# the last chunk: a narrower tail, or a product under ~1e6 multiply-adds, may
+# take another OpenBLAS kernel, whose floats differ from the one-block pass
+ENCODE_ENTRIES = 2 ** 18
 
 # the packed format is little-endian; the uint8<->uint64 views below assume
 # the host matches
@@ -224,11 +234,22 @@ def encode_with(enc: MlpEncoder, feats: np.ndarray, what: str = "features") -> C
     return CodeMatrix.from_real(out)
 
 
+def encode_chunks(enc: MlpEncoder, n: int) -> list:
+    """Row slices covering n items: ENCODE_ENTRIES // (widest layer) rows each,
+    rounded down to a multiple of 64 (at least 64); the last adds the rest."""
+    step = max(64, ENCODE_ENTRIES // max(layer.out_dim for layer in enc.layers) // 64 * 64)
+    edges = [*range(0, max(1, n // step) * step, step), n]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 def _encode_side(model, ds, side: int, ids, what: str) -> CodeMatrix:
-    """Hash the given items with the model's encoder for one side."""
+    """Hash the given items with one side's encoder, chunk by chunk."""
     enc = (model.image_encoder, model.text_encoder)[side]
     feats = (ds.image_features, ds.text_features)[side]
-    return encode_with(enc, feats[ids], f"{what} {SIDES[side]} features")
+    packed = np.empty((len(ids), (enc.output_dim + 63) // 64), dtype=np.uint64)
+    for rows in encode_chunks(enc, len(ids)):
+        packed[rows] = encode_with(enc, feats[ids[rows]], f"{what} {SIDES[side]} features").packed
+    return CodeMatrix(packed, enc.output_dim)
 
 
 def encode_queries(model, ds, split) -> CodeMatrix:

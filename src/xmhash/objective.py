@@ -116,7 +116,7 @@ def pairwise_nll(img_feats: np.ndarray, txt_feats: np.ndarray,
         rows = np.arange(i0, min(i0 + _CHUNK, n))
         phi, work = phi_buf[:rows.size], work_buf[:rows.size]
         np.matmul(0.5 * img_feats[:, rows].T, txt_feats, out=phi)
-        fit = np.multiply(sim.block(rows), phi, out=work).sum()
+        fit = np.multiply(sim.overlap(rows), phi, out=work).sum()
         total += float(softplus(phi, out=work).sum() - fit)
     return total
 
@@ -133,20 +133,25 @@ def objective_value(state: ObjectiveState, hp: HyperParams, sim: PairwiseSimilar
     the query-side embedding block; the v1 trainer variant passes the codes.
     """
     f, g, b = state.image_feats, state.text_feats, state.codes
-    total = pairwise_nll(f, g, sim)
-    total += hp.quant_image * float(((b - f) ** 2).sum())
-    total += hp.quant_text * float(((b - g) ** 2).sum())
-    if hp.label_weight > 0:
-        if label_target is None:
-            label_target = state.feats[hp.query_side]
-        total += hp.label_weight * float(((label_target - _label_fit(state)) ** 2).sum())
-    total += hp.balance_weight * (
-        float((f.sum(axis=1) ** 2).sum())
-        + float((g.sum(axis=1) ** 2).sum())
-        + float((state.proj ** 2).sum())
-    )
-    if not np.isfinite(total):
-        raise NumericalError(f"objective is non-finite: {total}")
+    if label_target is None:
+        label_target = state.feats[hp.query_side]
+    with np.errstate(all="ignore"):
+        terms = {"pairwise": pairwise_nll(f, g, sim),
+                 "quant-image": hp.quant_image * float(((b - f) ** 2).sum()),
+                 "quant-text": hp.quant_text * float(((b - g) ** 2).sum())}
+        if hp.label_weight > 0:
+            terms["label"] = hp.label_weight * float(
+                ((label_target - _label_fit(state)) ** 2).sum())
+        terms["balance"] = hp.balance_weight * (
+            float((f.sum(axis=1) ** 2).sum())
+            + float((g.sum(axis=1) ** 2).sum())
+            + float((state.proj ** 2).sum())
+        )
+    total = 0.0
+    for name, value in terms.items():  # a fixed order, so the sum's bits are fixed
+        if not np.isfinite(value):
+            raise NumericalError(f"objective is non-finite: {name} term is {value}")
+        total += value
     return total
 
 
@@ -158,17 +163,19 @@ def _pairwise_grad(own, other, sim, batch):
     """
     n = own.shape[1]
     out = np.zeros((own.shape[0], batch.size))
+    neg_own_b, sim_rows = -0.5 * own[:, batch].T, sim.overlap(batch)
     for j0 in range(0, n, _CHUNK):
+        # other[:, cols] is a copy: a strided view of `other` rounds the products differently
         cols = np.arange(j0, min(j0 + _CHUNK, n))
         # sigmoid(phi) - s in place, phi = 0.5 * own_b^T other_c: exp(-phi)
         # overflows to inf for very negative phi, whose limit 1/inf = 0 is
         # the intended sigmoid value
-        z = -0.5 * own[:, batch].T @ other[:, cols]
+        z = neg_own_b @ other[:, cols]
         with np.errstate(over="ignore"):
             np.exp(z, out=z)
         z += 1.0
         np.reciprocal(z, out=z)
-        z -= sim.block(batch, cols)
+        z -= sim_rows[:, j0:j0 + _CHUNK]  # a view: a fancy-index copy is slow
         out += 0.5 * other[:, cols] @ z.T
     return out
 

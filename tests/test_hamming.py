@@ -11,13 +11,14 @@ from hypothesis.extra import numpy as hnp
 
 from reference import hamming_distance, topk
 from xmhash import hamming
-from xmhash.data import SplitSpec
+from xmhash.data import MultiModalDataset, SplitSpec, make_split, synth
 from xmhash.errors import ContractError, LoadError
 from xmhash.hamming import (
     CodeMatrix,
     RetrievalIndex,
     all_pm1,
     distances_to_all,
+    encode_chunks,
     encode_database,
     encode_queries,
     encode_with,
@@ -27,7 +28,9 @@ from xmhash.hamming import (
     unpack_codes,
     write_codes,
 )
-from xmhash.mlp import Layer, MlpEncoder, forward
+from xmhash.mlp import Layer, MlpEncoder, forward, glorot_mlp
+from xmhash.objective import HyperParams
+from xmhash.training import TaskModel
 
 PAD_BOUNDARY_LENGTHS = (1, 63, 64, 65, 128)
 
@@ -353,6 +356,76 @@ def test_encode_with_peaks_below_three_hidden_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 3 * block, f"peak {peak / block:.2f} hidden blocks"
+
+
+# the bench's encoders (16 or 32 features, --hidden 64, 64 bits) and the
+# CLI's default --hidden 512, with the chunk rows C the sizing rule gives each
+CHUNKED_ENCODERS = [((16, 64, 64), 4096), ((32, 64, 64), 4096),
+                    ((16, 512, 64), 512), ((32, 512, 64), 512)]
+
+
+@pytest.mark.parametrize("dims, c", CHUNKED_ENCODERS)
+def test_encode_chunks_are_whole_multiples_of_64_rows(dims, c):
+    enc = glorot_mlp(dims, seed=1)
+    for n, sizes in ((1, [1]), (2 * c - 1, [2 * c - 1]), (2 * c, [c, c]),
+                     (2 * c + 1, [c, c + 1]), (3 * c + 7, [c, c, c + 7])):
+        chunks = encode_chunks(enc, n)
+        assert [s.stop - s.start for s in chunks] == sizes
+        assert chunks[0].start == 0 and chunks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+
+
+@pytest.mark.parametrize("mult, extra", [(2, -1), (2, 0), (2, 1), (3, 7), (0, 49_000)])
+@pytest.mark.parametrize("dims, c", CHUNKED_ENCODERS)
+def test_chunked_encoding_matches_the_one_block_bits(dims, c, mult, extra):
+    # each chunk's floats and codes are the one-block pass's columns, bit
+    # for bit: the sizing rule keeps every column in the OpenBLAS kernel
+    # the whole product gives it, so the chunk must not be shrunk here
+    enc = glorot_mlp(dims, seed=sum(dims))
+    n = mult * c + extra
+    x = np.random.default_rng(n).standard_normal((n, dims[0]))
+    whole, codes = forward(enc, x)[0], encode_with(enc, x).packed
+    chunks = encode_chunks(enc, n)
+    assert len(chunks) == max(1, n // c)
+    for rows in chunks:
+        assert np.array_equal(forward(enc, x[rows])[0], whole[:, rows])
+        assert np.array_equal(encode_with(enc, x[rows]).packed, codes[rows])
+
+
+def test_chunked_database_matches_the_per_item_oracle(trained_i2t):
+    # 3 * 512 + 7 fresh items through a --hidden 512 text encoder: three chunks
+    ds = synth(1553, 8, 12, 3, noise=0.1, seed=6)
+    split = make_split(ds.n, 10, len(trained_i2t.codes.packed), seed=7)
+    model = replace(trained_i2t, text_encoder=glorot_mlp((12, 512, trained_i2t.r), seed=8))
+    assert len(encode_chunks(model.text_encoder, len(split.retrieval_ids))) == 3
+    index = encode_database(model, ds, split, reencode_train=True)
+    for p, i in enumerate(split.retrieval_ids):
+        oracle = encode_with(model.text_encoder, ds.text_features[[i]])
+        assert np.array_equal(index.codes.packed[p], oracle.packed[0])
+
+
+def test_encode_database_memory_stays_flat_in_the_fresh_items():
+    # 49,000 fresh rows through 32 -> 64 -> 64, the retrieval50k text side:
+    # encoded in one block the hidden activations alone take 48 MiB
+    rng = np.random.default_rng(20)
+    n = 50_400
+    labels = np.zeros((4, n), dtype=np.uint8)
+    labels[rng.integers(0, 4, n), np.arange(n)] = 1
+    ds = MultiModalDataset("flat", rng.standard_normal((n, 16)),
+                           rng.standard_normal((n, 32)), labels)
+    split = SplitSpec(np.arange(1000), np.arange(1000, n), np.arange(1000, 1400))
+    model = TaskModel("i2t", "full", glorot_mlp((16, 64, 64), seed=21),
+                      glorot_mlp((32, 64, 64), seed=22), np.zeros((64, 4)),
+                      CodeMatrix.from_signs(np.ones((64, 400))),
+                      HyperParams(0.1, 0.01, 1e-4, 1e-3, task="i2t"), ())
+    tracemalloc.start()
+    try:
+        index = encode_database(model, ds, split)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert index.codes.n == n - 1000
+    assert peak < 16 * 2 ** 20, f"encode_database peaked at {peak / 2 ** 20:.1f} MiB"
 
 
 def test_encode_with_matches_forward_sign_oracle():

@@ -12,7 +12,7 @@ from conftest import random_state
 from reference import pair
 from reference import pairwise_nll as nll_with_fresh_temporaries
 from xmhash.data import PairwiseSimilarity
-from xmhash.errors import ContractError
+from xmhash.errors import ContractError, NumericalError
 from xmhash.objective import (
     _CHUNK,
     _pairwise_grad,
@@ -241,6 +241,23 @@ def test_objective_finite_for_extreme_inputs():
     state.text_feats *= 500.0
     hp = HyperParams(0.1, 0.1, 0.1, 0.1, task="i2t")
     assert np.isfinite(objective_value(state, hp, sim))
+
+
+@pytest.mark.parametrize("block, value, label_weight, term", [
+    ("image_feats", np.inf, 0.1, "pairwise"),
+    ("codes", np.inf, 0.1, "quant-image"),
+    ("text_feats", 1e155, 0.1, "quant-text"),  # its square overflows, its scores do not
+    ("proj", np.inf, 0.1, "label"),
+    ("proj", 1e155, 0.0, "balance"),
+])
+def test_objective_names_the_first_non_finite_term_quietly(block, value, label_weight, term):
+    state, sim = random_state(6)
+    getattr(state, block)[0, 0] = value
+    hp = HyperParams(0.1, 0.1, label_weight, 0.1, task="i2t")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"^objective is non-finite: {term} term"):
+            objective_value(state, hp, sim)
 
 
 # --- gradients -------------------------------------------------------------------
