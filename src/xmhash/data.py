@@ -5,6 +5,7 @@ features (n x d_y), and a binary label matrix (c x n). Two instances are
 similar when they share at least one label. The n x n similarity matrix is
 never materialized; consumers go through PairwiseSimilarity, which serves
 boolean row/column blocks computed on demand from packed label bytes.
+Features are float32 in memory, as on disk, and cast exactly to float64 where used.
 
 Disk layout of a dataset directory:
     manifest.json   fields exactly: name, n, d_x, d_y, c,
@@ -41,8 +42,8 @@ class MultiModalDataset:
     """Aligned image features, text features, and binary labels; checked when built."""
 
     name: str
-    image_features: np.ndarray  # (n, d_x) float64
-    text_features: np.ndarray   # (n, d_y) float64
+    image_features: np.ndarray  # (n, d_x) float32
+    text_features: np.ndarray   # (n, d_y) float32
     labels: np.ndarray          # (c, n) uint8, entries 0/1
 
     @property
@@ -225,7 +226,7 @@ def synth(
     img = scale * _standardize(img)
     txt_std = txt.std(axis=0)
     txt = scale * (txt / np.where(txt_std > 0, txt_std, 1.0))
-    return MultiModalDataset(name, img, txt, labels)
+    return MultiModalDataset(name, img.astype(np.float32), txt.astype(np.float32), labels)
 
 
 def _draw_labels(rng: np.random.Generator, n: int, c: int) -> np.ndarray:
@@ -312,29 +313,28 @@ def load_dataset(manifest_path) -> MultiModalDataset:
     if min(n, d_x, d_y, c) < 1:
         raise LoadError(f"manifest dims must be positive, got n={n} d_x={d_x} d_y={d_y} c={c}")
 
-    def read_blob(key: str, nbytes: int) -> bytes:
+    def read_blob(key: str, dtype: str, rows: int, cols: int) -> np.ndarray:
+        """The blob as a writable (rows, cols) copy, so that its bytes are
+        freed: a freed multi-MB block raises glibc's mmap threshold, which
+        keeps later temporaries on the heap instead of in fresh mappings."""
         blob_path = path.parent / str(manifest[key])
         if not blob_path.is_file():
             raise LoadError(f"{key} file not found: {blob_path}")
         payload = blob_path.read_bytes()
+        nbytes = rows * cols * np.dtype(dtype).itemsize
         if len(payload) != nbytes:
             raise LoadError(
                 f"{key} has wrong size: expected {nbytes} bytes, found {len(payload)}"
             )
-        return payload
+        return np.frombuffer(payload, dtype=dtype).reshape(rows, cols).copy()
 
-    img = np.frombuffer(read_blob("image_blob", n * d_x * 4), dtype="<f4")
-    txt = np.frombuffer(read_blob("text_blob", n * d_y * 4), dtype="<f4")
-    lab = np.frombuffer(read_blob("label_blob", c * n), dtype=np.uint8)
+    img = read_blob("image_blob", "<f4", n, d_x)
+    txt = read_blob("text_blob", "<f4", n, d_y)
+    lab = read_blob("label_blob", "u1", c, n)
     if not np.isin(lab, (0, 1)).all():
         raise LoadError("label blob contains bytes other than 0/1")
     try:
-        return MultiModalDataset(
-            str(manifest["name"]),
-            img.astype(np.float64).reshape(n, d_x),
-            txt.astype(np.float64).reshape(n, d_y),
-            lab.reshape(c, n).copy(),
-        )
+        return MultiModalDataset(str(manifest["name"]), img, txt, lab)
     except ContractError as exc:
         raise LoadError(f"dataset blobs violate invariants: {exc}") from exc
 
@@ -346,10 +346,18 @@ def save_split(split: SplitSpec, out_dir) -> None:
         (out / fname).write_text("".join(f"{i}\n" for i in ids.tolist()))
 
 
-# one unsigned decimal per LF-terminated line, as save_split writes them;
-# at most 18 digits, so that every value fits an int64
-_PLAIN_IDS = re.compile(r"(?:[0-9]{1,18}\n)*")
 _INT64 = np.iinfo(np.int64)
+
+
+def _plain_ids(text: str) -> bool:
+    """Whether text is one unsigned decimal of 1-18 digits (so each fits an
+    int64) per LF-terminated line, as save_split writes them. The lengths come
+    from the LF positions: a regex over 49,000 lines holds ~6 MiB of state."""
+    if not re.fullmatch(r"[0-9\n]*", text) or text[-1:] not in ("", "\n"):
+        return False
+    lf = np.flatnonzero(np.frombuffer(text.encode(), dtype=np.uint8) == ord("\n"))
+    gaps = np.diff(lf, prepend=-1)  # each line's length plus its LF
+    return bool(((gaps >= 2) & (gaps <= 19)).all())
 
 
 def _parse_ids(f: Path) -> np.ndarray:
@@ -360,7 +368,7 @@ def _parse_ids(f: Path) -> np.ndarray:
         text = f.read_text()
     except UnicodeDecodeError as exc:
         raise LoadError(f"{f}: split file is not UTF-8 text: {exc}") from exc
-    if _PLAIN_IDS.fullmatch(text):
+    if _plain_ids(text):
         return np.fromstring(text, dtype=np.int64, sep="\n")
     ids = []
     for ln, line in enumerate(text.splitlines(), start=1):

@@ -40,9 +40,9 @@ TILE_ENTRIES = 2 ** 16
 FORK_ENTRIES = 2 ** 22
 
 # items are encoded in chunks whose widest activation holds about this many
-# float64 entries (2 MB), in whole multiples of 64 rows with the remainder in
-# the last chunk: a narrower tail, or a product under ~1e6 multiply-adds, may
-# take another OpenBLAS kernel, whose floats differ from the one-block pass
+# float64 entries (2 MB), all but the last in whole 64-row blocks: a narrower
+# tail, or a product under ~1e6 multiply-adds, may take another OpenBLAS
+# kernel, whose floats differ from the one-block pass
 ENCODE_ENTRIES = 2 ** 18
 
 # the packed format is little-endian; the uint8<->uint64 views below assume
@@ -235,10 +235,12 @@ def encode_with(enc: MlpEncoder, feats: np.ndarray, what: str = "features") -> C
 
 
 def encode_chunks(enc: MlpEncoder, n: int) -> list:
-    """Row slices covering n items: ENCODE_ENTRIES // (widest layer) rows each,
-    rounded down to a multiple of 64 (at least 64); the last adds the rest."""
+    """Row slices covering n items: max(1, n // C) chunks, C being
+    ENCODE_ENTRIES // (widest layer) rounded down to a multiple of 64 (at least
+    64), over which the whole 64-row blocks are spread evenly; the last adds the rest."""
     step = max(64, ENCODE_ENTRIES // max(layer.out_dim for layer in enc.layers) // 64 * 64)
-    edges = [*range(0, max(1, n // step) * step, step), n]
+    k = max(1, n // step)
+    edges = [n // 64 * i // k * 64 for i in range(k)] + [n]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 

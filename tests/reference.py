@@ -5,11 +5,14 @@ combines library calls the way a user would: the AP of one ranked
 relevance list, the Hamming distance of one code pair, the top-k ids of
 one query, the similarity of one instance pair, both retrieval directions
 trained one after the other, and a Welch test on two per-query AP lists.
-Three more are the library's earlier kernels, kept as oracles: a
+Four more are the library's earlier kernels, kept as oracles: a
 similarity block as a float product of the labels, the pairwise likelihood
-with fresh temporaries per block, and synth's label draw as one
-rng.choice per item. Tests compare the library against them.
+with fresh temporaries per block, synth's label draw as one rng.choice per
+item, and the split files' plain-text check as one regex. Tests compare
+the library against them.
 """
+
+import re
 
 import numpy as np
 
@@ -19,6 +22,9 @@ from xmhash.hamming import rank_tiles
 from xmhash.training import train_task
 
 ALPHA = 0.05
+
+# a plain split file: one unsigned decimal of 1-18 digits per LF-terminated line
+PLAIN_IDS = re.compile(r"(?:[0-9]{1,18}\n)*")
 
 
 def average_precision(ranked_rel) -> float:

@@ -1,11 +1,13 @@
 """Dataset container, similarity oracle, synth generator, and disk formats."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import overlap_block, pair, similarity, synth_labels
+from reference import PLAIN_IDS, overlap_block, pair, similarity, synth_labels
 from xmhash import data
 from xmhash.data import (
     SPLIT_FILES,
@@ -295,13 +297,39 @@ def test_dataset_round_trip(tmp_path, tiny_ds):
     manifest = save_dataset(tiny_ds, tmp_path)
     loaded = load_dataset(manifest)
     assert loaded.name == tiny_ds.name
-    # blobs are float32 on disk, so compare at float32 resolution
-    assert np.array_equal(loaded.image_features,
-                          tiny_ds.image_features.astype("<f4").astype(np.float64))
-    assert np.array_equal(loaded.text_features,
-                          tiny_ds.text_features.astype("<f4").astype(np.float64))
+    assert np.array_equal(loaded.image_features, tiny_ds.image_features)
+    assert np.array_equal(loaded.text_features, tiny_ds.text_features)
     assert np.array_equal(loaded.labels, tiny_ds.labels)
-    assert loaded.image_features.dtype == np.float64
+    assert loaded.image_features.dtype == np.float32
+
+
+def test_resaving_a_loaded_dataset_writes_the_same_bytes(tmp_path, tiny_ds):
+    save_dataset(tiny_ds, tmp_path / "a")
+    save_dataset(load_dataset(tmp_path / "a"), tmp_path / "b")
+    for f in (tmp_path / "a").iterdir():
+        assert (tmp_path / "b" / f.name).read_bytes() == f.read_bytes()
+
+
+def test_loaded_dataset_holds_its_blob_bytes_and_no_more(tmp_path):
+    # the retrieval50k shape: float64 copies of the features once left the
+    # load holding 18.6 MiB, after a peak of 30.4 MiB
+    rng = np.random.default_rng(3)
+    n = 50_400
+    labels = np.zeros((4, n), dtype=np.uint8)
+    labels[rng.integers(0, 4, n), np.arange(n)] = 1
+    save_dataset(MultiModalDataset("big", rng.standard_normal((n, 16)).astype(np.float32),
+                                   rng.standard_normal((n, 32)).astype(np.float32), labels),
+                 tmp_path)
+    blob_bytes = n * (16 + 32) * 4 + 4 * n
+    tracemalloc.start()
+    try:
+        ds = load_dataset(tmp_path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.n == n
+    assert held <= blob_bytes + 2 ** 19, f"load_dataset holds {held / 2 ** 20:.2f} MiB"
+    assert peak < 24 * 2 ** 20, f"load_dataset peaked at {peak / 2 ** 20:.1f} MiB"
 
 
 def test_dataset_load_accepts_directory_path(tmp_path, tiny_ds):
@@ -395,6 +423,18 @@ def test_save_split_bytes_match_the_per_scalar_form(tmp_path):
     save_split(split, tmp_path)
     for fname, ids in zip(SPLIT_FILES, (split.query_ids, split.retrieval_ids, split.train_ids)):
         assert (tmp_path / fname).read_bytes() == "".join(f"{int(i)}\n" for i in ids).encode()
+
+
+_ID_LINE = st.text("0123456789", max_size=20) | st.sampled_from(["9" * 18, "1" * 19, " 7", "-1"])
+_LINE_END = st.sampled_from(["\n", "\n", "\r\n", "\r", "\n\n", ""])
+
+
+@given(st.lists(st.tuples(_ID_LINE, _LINE_END), max_size=8))
+@example([])
+@example([("9" * 18, "\n"), ("12", "")])
+def test_plain_id_check_agrees_with_the_regex_oracle(lines):
+    text = "".join(line + end for line, end in lines)
+    assert data._plain_ids(text) == bool(PLAIN_IDS.fullmatch(text))
 
 
 def test_split_load_rejects_missing_file(tmp_path):

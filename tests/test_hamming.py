@@ -373,6 +373,14 @@ def test_encode_chunks_are_whole_multiples_of_64_rows(dims, c):
         assert [s.stop - s.start for s in chunks] == sizes
         assert chunks[0].start == 0 and chunks[-1].stop == n
         assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+    # retrieval50k's 48,600 fresh items: 48,600 // C chunks of even size, all
+    # but the last whole 64-row blocks of at least C rows (4,416 x 10 + 4,440
+    # at C = 4,096, where the rest once made a last chunk of 7,640)
+    sizes = [s.stop - s.start for s in encode_chunks(enc, 48_600)]
+    assert len(sizes) == 48_600 // c and sum(sizes) == 48_600
+    assert all(s % 64 == 0 and s >= c for s in sizes[:-1])
+    assert max(sizes) - min(sizes) < 128
+    assert c != 4096 or sizes == [4416] * 10 + [4440]
 
 
 @pytest.mark.parametrize("mult, extra", [(2, -1), (2, 0), (2, 1), (3, 7), (0, 49_000)])

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,9 @@ import pytest
 from conftest import DESK_HP, child_env
 from reference import train_both
 from xmhash import training
-from xmhash.data import make_split, synth
+from xmhash.data import load_dataset, make_split, save_dataset, synth
 from xmhash.errors import ContractError, LoadError, NumericalError
+from xmhash.hamming import encode_database, encode_queries
 from xmhash.mlp import forward
 from xmhash.objective import HyperParams
 from xmhash.training import (
@@ -373,6 +375,26 @@ def test_model_save_deterministic_bytes(tmp_path, trained_i2t):
     a = save_model(trained_i2t, tmp_path / "a.model").read_bytes()
     b = save_model(trained_i2t, tmp_path / "b.model").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("task", ["i2t", "t2i"])
+def test_float32_features_train_and_encode_as_their_float64_casts(
+        tmp_path, tiny_ds, tiny_split, desk_cfg, task):
+    # features stay float32 from the file to forward, whose float64 cast is exact
+    save_dataset(tiny_ds, tmp_path / "ds")
+    loaded = load_dataset(tmp_path / "ds")
+    wide = replace(loaded, image_features=loaded.image_features.astype(np.float64),
+                   text_features=loaded.text_features.astype(np.float64))
+    hp = HyperParams(*DESK_HP, task=task)
+    model, wide_model = (train_task(ds, tiny_split, desk_cfg, hp) for ds in (loaded, wide))
+    assert (save_model(model, tmp_path / "a.model").read_bytes()
+            == save_model(wide_model, tmp_path / "b.model").read_bytes())
+    for reencode in (False, True):
+        assert np.array_equal(
+            encode_database(model, loaded, tiny_split, reencode).codes.packed,
+            encode_database(model, wide, tiny_split, reencode).codes.packed)
+    assert np.array_equal(encode_queries(model, loaded, tiny_split).packed,
+                          encode_queries(model, wide, tiny_split).packed)
 
 
 def test_model_load_rejects_truncation(tmp_path, trained_i2t):
