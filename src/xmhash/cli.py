@@ -138,7 +138,7 @@ def cmd_train(args) -> int:
     cfg = TrainConfig(
         bits=args.bits, epochs=args.epochs, batch_size=args.batch_size,
         lr_image=args.lr_image, lr_text=args.lr_text, variant=args.variant,
-        seed=args.seed, full_batch=args.full_batch, hidden_dim=args.hidden,
+        seed=args.seed, hidden_dim=args.hidden,
         early_stop=args.early_stop,
     )
     out = Path(args.out)
@@ -262,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--lr-image", type=_lr, default=1e-2)
     tp.add_argument("--lr-text", type=_lr, default=1e-2)
     tp.add_argument("--seed", type=_seed, default=0)
-    tp.add_argument("--full-batch", action="store_true",
-                    help="one batch per sweep covering the whole train set")
     tp.add_argument("--hidden", type=_positive_int, default=512,
                     help="encoder hidden width")
     tp.add_argument("--preset", choices=sorted(PRESETS), default=DEFAULT_PRESET,

@@ -98,50 +98,31 @@ def label_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class PairwiseSimilarity:
-    """On-demand similarity oracle; never builds the full n x n matrix."""
+    """On-demand similarity oracle over a dataset's (c, n) 0/1 labels, or
+    columns of them, checked by the dataset; never builds the n x n matrix."""
 
     def __init__(self, labels: np.ndarray):
-        labels = np.asarray(labels)
-        if labels.ndim != 2:
-            raise ContractError("labels must be 2-D")
-        if not np.isin(labels, (0, 1)).all():
-            raise ContractError("label entries must be 0 or 1")
         self._packed = np.packbits(labels.astype(bool), axis=0)
         self.n = labels.shape[1]
 
-    def _check_ids(self, ids: np.ndarray, what: str) -> None:
-        if ids.size and (ids.min() < 0 or ids.max() >= self.n):
-            bad = ids[(ids < 0) | (ids >= self.n)][0]
-            raise ContractError(f"{what} id {int(bad)} out of range [0, {self.n})")
-
-    def block(self, rows, cols=None) -> np.ndarray:
-        """Similarity sub-matrix for the given row/column instance ids.
-
-        cols=None means all instances. Returned as bool, shape
-        (len(rows), n_cols).
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        self._check_ids(rows, "row")
-        if cols is not None:
-            cols = np.asarray(cols, dtype=np.intp)
-            self._check_ids(cols, "column")
-        return self.overlap(rows, cols)
-
     def overlap(self, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-        """block without the id checks, for kernels whose ids are in range."""
+        """Similarity sub-matrix for in-range row/column instance ids, as
+        bool of shape (len(rows), n_cols); cols=None means all instances."""
         lc = self._packed if cols is None else self._packed[:, cols]
         return label_overlap(self._packed[:, rows], lc)
 
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Query / retrieval / train instance id lists for one experiment."""
+    """Query / retrieval / train instance id lists for one experiment over
+    a dataset of n items; checked when built."""
 
     query_ids: np.ndarray
     retrieval_ids: np.ndarray
     train_ids: np.ndarray
+    n: int  # size of the dataset the ids index
 
-    def validate(self, n: int) -> None:
+    def __post_init__(self) -> None:
         for name, ids in (
             ("query", self.query_ids),
             ("retrieval", self.retrieval_ids),
@@ -150,9 +131,9 @@ class SplitSpec:
             ids = np.asarray(ids)
             if ids.ndim != 1 or ids.size == 0:
                 raise ContractError(f"{name} ids must be a non-empty 1-D list")
-            if ids.min() < 0 or ids.max() >= n:
+            if ids.min() < 0 or ids.max() >= self.n:
                 raise ContractError(
-                    f"{name} ids out of range for dataset of size {n}"
+                    f"{name} ids out of range for dataset of size {self.n}"
                 )
             ordered = np.sort(ids)
             if (ordered[1:] == ordered[:-1]).any():
@@ -176,7 +157,7 @@ def make_split(n: int, n_query: int, n_train: int, seed: int = 0) -> SplitSpec:
     query = np.sort(order[:n_query])
     retrieval = np.sort(order[n_query:])
     train = np.sort(rng.choice(retrieval, size=n_train, replace=False))
-    return SplitSpec(query.astype(np.int64), retrieval.astype(np.int64), train.astype(np.int64))
+    return SplitSpec(query.astype(np.int64), retrieval.astype(np.int64), train.astype(np.int64), n)
 
 
 def synth(
@@ -331,8 +312,6 @@ def load_dataset(manifest_path) -> MultiModalDataset:
     img = read_blob("image_blob", "<f4", n, d_x)
     txt = read_blob("text_blob", "<f4", n, d_y)
     lab = read_blob("label_blob", "u1", c, n)
-    if not np.isin(lab, (0, 1)).all():
-        raise LoadError("label blob contains bytes other than 0/1")
     try:
         return MultiModalDataset(str(manifest["name"]), img, txt, lab)
     except ContractError as exc:
@@ -384,8 +363,8 @@ def _parse_ids(f: Path) -> np.ndarray:
     return np.asarray(ids, dtype=np.int64)
 
 
-def load_split(split_dir, n: int | None = None) -> SplitSpec:
-    """Read the three id files; validates against dataset size when given."""
+def load_split(split_dir, n: int) -> SplitSpec:
+    """Read the three id files, checked against a dataset of n items."""
     d = Path(split_dir)
     lists = []
     for fname in SPLIT_FILES:
@@ -396,10 +375,7 @@ def load_split(split_dir, n: int | None = None) -> SplitSpec:
         if not ids.size:
             raise LoadError(f"split file is empty: {f}")
         lists.append(ids)
-    split = SplitSpec(*lists)
-    if n is not None:
-        try:
-            split.validate(n)
-        except ContractError as exc:
-            raise LoadError(f"split inconsistent with dataset: {exc}") from exc
-    return split
+    try:
+        return SplitSpec(*lists, n)
+    except ContractError as exc:
+        raise LoadError(f"split inconsistent with dataset: {exc}") from exc

@@ -51,8 +51,6 @@ def evaluate(index: RetrievalIndex, query_codes: CodeMatrix,
     ks must be strictly increasing and within [1, n_db]; an empty ks means
     mAP only. query_labels is (c, n_query) aligned with query_codes columns.
     """
-    index.validate()
-    query_codes.validate()
     if query_codes.r != index.codes.r:
         raise ContractError(
             f"query codes have r={query_codes.r} but database has r={index.codes.r}"

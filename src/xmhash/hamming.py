@@ -87,10 +87,16 @@ def unpack_codes(packed: np.ndarray, r: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CodeMatrix:
-    """One code block as packed words; signs are unpacked on demand."""
+    """One code block as packed words, checked when built; signs are unpacked on demand."""
 
     packed: np.ndarray  # (n, ceil(r/64)) uint64
     r: int
+
+    def __post_init__(self) -> None:
+        if self.packed.ndim != 2 or self.packed.shape[1] != (self.r + 63) // 64:
+            raise ContractError(f"packed shape {self.packed.shape} does not fit r={self.r}")
+        if self.r % 64 and np.any(self.packed[:, -1] >> np.uint64(self.r % 64)):
+            raise ContractError("nonzero padding bits past the code length")
 
     @property
     def n(self) -> int:
@@ -115,12 +121,6 @@ class CodeMatrix:
         if values.ndim != 2:
             raise ContractError(f"sign matrix must be 2-D, got ndim={values.ndim}")
         return cls(_pack(values >= 0), values.shape[0])
-
-    def validate(self) -> None:
-        if self.packed.ndim != 2 or self.packed.shape[1] != (self.r + 63) // 64:
-            raise ContractError(f"packed shape {self.packed.shape} does not fit r={self.r}")
-        if self.r % 64 and np.any(self.packed[:, -1] >> np.uint64(self.r % 64)):
-            raise ContractError("nonzero padding bits past the code length")
 
 
 def distances_to_all(packed_db: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -209,14 +209,13 @@ def retrieve(index: "RetrievalIndex", query_codes: "CodeMatrix", query_ids,
 
 @dataclass(frozen=True)
 class RetrievalIndex:
-    """Database codes plus the labels and dataset ids behind each column."""
+    """Database codes plus the labels and dataset ids behind each column; checked when built."""
 
     codes: CodeMatrix
     labels: np.ndarray  # (c, n_db) uint8
     ids: np.ndarray     # (n_db,) dataset instance ids
 
-    def validate(self) -> None:
-        self.codes.validate()
+    def __post_init__(self) -> None:
         if self.labels.shape[1] != self.codes.n or self.ids.shape != (self.codes.n,):
             raise ContractError("index labels/ids misaligned with codes")
 
@@ -291,7 +290,6 @@ def encode_database(model, ds, split, reencode_train: bool = False) -> Retrieval
 
 def write_codes(cm: CodeMatrix, path) -> Path:
     """Write header (r, n, version) plus packed words, instance-major."""
-    cm.validate()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = struct.pack("<III", cm.r, cm.n, CODE_FILE_VERSION)
@@ -317,9 +315,7 @@ def read_codes(path) -> CodeMatrix:
         raise LoadError(
             f"code file has wrong size: expected {expected} bytes, found {len(payload)}"
         )
-    cm = CodeMatrix(np.frombuffer(payload[12:], dtype="<u8").reshape(n, words).copy(), r)
     try:
-        cm.validate()
+        return CodeMatrix(np.frombuffer(payload[12:], dtype="<u8").reshape(n, words).copy(), r)
     except ContractError as exc:
         raise LoadError(f"code file has {exc}") from exc
-    return cm

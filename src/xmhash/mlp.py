@@ -33,6 +33,8 @@ class Layer:
 
 @dataclass(frozen=True)
 class MlpEncoder:
+    """Layers applied in order; shapes, activations and dimension chain checked when built."""
+
     layers: tuple
 
     @property
@@ -43,7 +45,7 @@ class MlpEncoder:
     def output_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.layers:
             raise ContractError("encoder needs at least one layer")
         for k, layer in enumerate(self.layers):
@@ -53,8 +55,6 @@ class MlpEncoder:
                 )
             if layer.weights.ndim != 2 or layer.bias.shape != (layer.out_dim,):
                 raise ContractError(f"layer {k}: malformed parameter shapes")
-            if not (np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.bias))):
-                raise NumericalError(f"layer {k}: non-finite parameters")
             if k and layer.in_dim != self.layers[k - 1].out_dim:
                 raise ContractError(
                     f"layer {k} expects {layer.in_dim} inputs but layer {k - 1} "
@@ -163,6 +163,4 @@ def glorot_mlp(dims, seed: int) -> MlpEncoder:
         w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
         act = "identity" if k == len(dims) - 2 else "relu"
         layers.append(Layer(w, np.zeros(fan_out), act))
-    enc = MlpEncoder(tuple(layers))
-    enc.validate()
-    return enc
+    return MlpEncoder(tuple(layers))

@@ -74,7 +74,6 @@ class TrainConfig:
     lr_text: float = 1e-2
     variant: str = "full"
     seed: int = 0
-    full_batch: bool = False
     hidden_dim: int = 512
     early_stop: bool = False
     track_substeps: bool = False
@@ -189,9 +188,11 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
 
     Deterministic for fixed (cfg, hp, dataset, split): all randomness flows
     from cfg.seed through fixed offsets (batch order, encoder inits, code
-    init, projection init). Only split is checked here; the rest when built.
+    init, projection init). Each argument was checked when built; here only
+    that the split indexes a dataset of ds's size.
     """
-    split.validate(ds.n)
+    if split.n != ds.n:
+        raise ContractError(f"split is for a dataset of {split.n} items, not {ds.n}")
 
     train_ids = np.asarray(split.train_ids, dtype=np.int64)
     n = train_ids.size
@@ -222,7 +223,7 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
 
     state = ObjectiveState(*blocks, codes, proj, lab)
     batch_rng = np.random.default_rng(cfg.seed)
-    batch_size = n if cfg.full_batch else min(cfg.batch_size, n)
+    batch_size = min(cfg.batch_size, n)
 
     log: list[TrainLogRow] = []
     substeps: list[SubstepRow] = []
@@ -388,19 +389,19 @@ def _read_encoder(rd: _Reader) -> MlpEncoder:
     if not (1 <= n_layers <= 64):
         raise LoadError(f"model file has implausible layer count {n_layers}")
     layers = []
-    for _ in range(n_layers):
+    for k in range(n_layers):
         out_dim, in_dim, act = rd.unpack("<IIB")
         if act >= len(ACTIVATIONS) or min(out_dim, in_dim) < 1:
             raise LoadError("model file has a malformed layer header")
         w = rd.array("<f8", out_dim * in_dim, (out_dim, in_dim))
         b = rd.array("<f8", out_dim, (out_dim,))
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise LoadError(f"model file encoder invalid: layer {k}: non-finite parameters")
         layers.append(Layer(w, b, ACTIVATIONS[act]))
-    enc = MlpEncoder(tuple(layers))
     try:
-        enc.validate()
-    except (ContractError, NumericalError) as exc:
+        return MlpEncoder(tuple(layers))
+    except ContractError as exc:
         raise LoadError(f"model file encoder invalid: {exc}") from exc
-    return enc
 
 
 def load_model(path) -> TaskModel:

@@ -140,7 +140,7 @@ def test_criterion_3_monotone_convergence(capsys):
     ds = synth(200, 8, 8, 4, noise=0.1, seed=11)
     split = make_split(200, 40, 48, seed=3)
     cfg = TrainConfig(bits=16, epochs=100, batch_size=48, lr_image=1e-3,
-                      lr_text=1e-3, seed=0, full_batch=True, hidden_dim=64,
+                      lr_text=1e-3, seed=0, hidden_dim=64,
                       track_substeps=True)
     hp = HyperParams(0.1, 0.01, 1e-4, 1e-3, task="i2t")
     model = train_task(ds, split, cfg, hp)

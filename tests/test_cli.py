@@ -590,6 +590,8 @@ BAD_DIMS = {
 BAD_BLOBS = {
     "item without labels": ("labels.u8", "instance 7 has no labels"),
     "image NaN": ("image.f32", "image features contain non-finite entries"),
+    "label byte 2": ("labels.u8",
+                     "error: dataset blobs violate invariants: label entries must be 0 or 1"),
 }
 
 
@@ -607,6 +609,8 @@ def test_malformed_data_file_is_one_error_line(case, data_dir, model_dir, tmp_pa
         blob = bytearray(bad.read_bytes())
         if case == "item without labels":
             blob[7::60] = bytes(3)  # column 7 of the (c=3, n=60) label block
+        elif case == "label byte 2":
+            blob[0] = 2
         else:
             blob[:4] = np.array(np.nan, dtype="<f4").tobytes()  # image feature (0, 0)
         bad.write_bytes(bytes(blob))

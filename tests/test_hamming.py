@@ -148,10 +148,18 @@ def test_code_matrix_from_real_equals_from_signs(r):
 
 def test_code_matrix_validate_detects_nonzero_padding():
     cm = CodeMatrix.from_signs(np.array([[1, -1], [1, 1]], dtype=np.int8))
-    cm.validate()
-    padded = CodeMatrix(cm.packed | (np.uint64(1) << np.uint64(63)), cm.r)
     with pytest.raises(ContractError, match="padding"):
-        padded.validate()
+        CodeMatrix(cm.packed | (np.uint64(1) << np.uint64(63)), cm.r)
+    with pytest.raises(ContractError, match="does not fit r=65"):
+        CodeMatrix(cm.packed, 65)
+
+
+def test_retrieval_index_rejects_misaligned_labels_and_ids():
+    cm = CodeMatrix.from_signs(np.array([[1, -1], [1, 1]], dtype=np.int8))
+    with pytest.raises(ContractError, match="misaligned"):
+        RetrievalIndex(cm, np.ones((1, 3), dtype=np.uint8), np.arange(2))
+    with pytest.raises(ContractError, match="misaligned"):
+        RetrievalIndex(cm, np.ones((1, 2), dtype=np.uint8), np.arange(3))
 
 
 # --- distances ------------------------------------------------------------------
@@ -421,7 +429,7 @@ def test_encode_database_memory_stays_flat_in_the_fresh_items():
     labels[rng.integers(0, 4, n), np.arange(n)] = 1
     ds = MultiModalDataset("flat", rng.standard_normal((n, 16)),
                            rng.standard_normal((n, 32)), labels)
-    split = SplitSpec(np.arange(1000), np.arange(1000, n), np.arange(1000, 1400))
+    split = SplitSpec(np.arange(1000), np.arange(1000, n), np.arange(1000, 1400), n)
     model = TaskModel("i2t", "full", glorot_mlp((16, 64, 64), seed=21),
                       glorot_mlp((32, 64, 64), seed=22), np.zeros((64, 4)),
                       CodeMatrix.from_signs(np.ones((64, 400))),
@@ -466,7 +474,6 @@ def test_encode_queries_uses_query_side_encoder(tiny_ds, tiny_split, trained_i2t
 
 def test_encode_database_mixed_split_column_rule(tiny_ds, tiny_split, trained_i2t):
     index = encode_database(trained_i2t, tiny_ds, tiny_split)
-    index.validate()
     train_pos = {int(t): p for p, t in enumerate(tiny_split.train_ids)}
     fresh_oracle = encode_with(trained_i2t.text_encoder, tiny_ds.text_features)
     for p, i in enumerate(index.ids):
@@ -481,7 +488,7 @@ def test_encode_database_follows_train_id_order(tiny_ds, tiny_split, trained_i2t
     # a model's code columns follow split.train_ids, sorted or not
     perm = np.random.default_rng(18).permutation(len(tiny_split.train_ids))
     split = SplitSpec(tiny_split.query_ids, tiny_split.retrieval_ids,
-                      tiny_split.train_ids[perm])
+                      tiny_split.train_ids[perm], tiny_split.n)
     model = replace(trained_i2t,
                     codes=CodeMatrix.from_signs(trained_i2t.codes.signs[:, perm]))
     want = encode_database(trained_i2t, tiny_ds, tiny_split)

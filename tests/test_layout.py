@@ -3,9 +3,11 @@
 A helper that only tests call belongs in tests/reference.py. The first
 check parses every module of the package except __init__.py (whose
 re-exports are no use) and asserts that each function, method and class
-defined there is referenced by name somewhere in those modules. The
-second asserts that one function maps a retrieval direction to its query
-side, so no other code compares a direction name.
+defined there is referenced somewhere in those modules: a method only as
+an attribute (x.name), so that a local variable of the same name does not
+count as its caller. The second asserts that one function maps a
+retrieval direction to its query side, so no other code compares a
+direction name.
 """
 
 import ast
@@ -22,24 +24,30 @@ QUERY_SIDE = "query_side"  # the one function that compares a direction name
 
 
 def _definitions_and_references(paths):
-    defined, referenced = [], set()
+    """(name, place, is a method) of each definition, the names read as
+    plain names, and the names read as attributes."""
+    defined, names, attributes = [], set(), set()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body}
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((node.name, f"{path.name}:{node.lineno}"))
+                defined.append((node.name, f"{path.name}:{node.lineno}", id(node) in methods))
             elif isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-    return defined, referenced
+                attributes.add(node.attr)
+    return defined, names, attributes
 
 
 def test_every_src_definition_has_a_src_caller():
     paths = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert paths, f"no modules under {SRC}"
-    defined, referenced = _definitions_and_references(paths)
-    unused = [f"{where} {name}" for name, where in defined
-              if name not in referenced and name not in UNCALLED
+    defined, names, attributes = _definitions_and_references(paths)
+    unused = [f"{where} {name}" for name, where, is_method in defined
+              if name not in attributes and (is_method or name not in names)
+              and name not in UNCALLED
               and not (name.startswith("__") and name.endswith("__"))]
     assert not unused, "defined in src but referenced only outside it: " + ", ".join(unused)
 

@@ -227,24 +227,28 @@ def test_forward_zero_input_emits_final_bias():
 
 
 def test_validate_rejects_unknown_activation():
-    enc = MlpEncoder((Layer(np.eye(2), np.zeros(2), "tanh"),))
     with pytest.raises(ContractError, match="activation"):
-        enc.validate()
+        MlpEncoder((Layer(np.eye(2), np.zeros(2), "tanh"),))
 
 
 def test_validate_rejects_broken_dim_chain():
-    enc = MlpEncoder((
-        Layer(np.zeros((3, 2)), np.zeros(3), "relu"),
-        Layer(np.zeros((2, 4)), np.zeros(2), "identity"),
-    ))
     with pytest.raises(ContractError, match="layer 1"):
-        enc.validate()
+        MlpEncoder((
+            Layer(np.zeros((3, 2)), np.zeros(3), "relu"),
+            Layer(np.zeros((2, 4)), np.zeros(2), "identity"),
+        ))
 
 
 def test_validate_rejects_non_identity_final_layer():
-    enc = MlpEncoder((Layer(np.eye(2), np.zeros(2), "relu"),))
     with pytest.raises(ContractError, match="identity"):
-        enc.validate()
+        MlpEncoder((Layer(np.eye(2), np.zeros(2), "relu"),))
+
+
+def test_encoder_rejects_no_layers_and_malformed_shapes():
+    with pytest.raises(ContractError, match="at least one layer"):
+        MlpEncoder(())
+    with pytest.raises(ContractError, match="layer 0: malformed parameter shapes"):
+        MlpEncoder((Layer(np.eye(2), np.zeros(3), "identity"),))
 
 
 def test_glorot_rejects_bad_dims():

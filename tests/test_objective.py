@@ -356,7 +356,7 @@ def pairwise_grad_oracle(own, other, sim, batch):
     for j0 in range(0, own.shape[1], _CHUNK):
         cols = np.arange(j0, min(j0 + _CHUNK, own.shape[1]))
         phi = 0.5 * own[:, batch].T @ other[:, cols]
-        out += 0.5 * other[:, cols] @ (expit(phi) - sim.block(batch, cols)).T
+        out += 0.5 * other[:, cols] @ (expit(phi) - sim.overlap(batch, cols)).T
     return out
 
 

@@ -186,14 +186,21 @@ def test_update_projection_rejects_misaligned_instances():
 
 def test_train_single_epoch_structure(tiny_ds):
     split = make_split(tiny_ds.n, 10, 4, seed=1)
-    cfg = TrainConfig(bits=4, epochs=1, lr_image=1e-3, lr_text=1e-3,
-                      seed=0, full_batch=True, hidden_dim=8)
+    cfg = TrainConfig(bits=4, epochs=1, batch_size=4, lr_image=1e-3, lr_text=1e-3,
+                      seed=0, hidden_dim=8)
     model = train_task(tiny_ds, split, cfg, HyperParams(*DESK_HP, task="i2t"))
     assert len(model.train_log) == 1
     assert model.train_log[0].epoch == 1
     assert np.isin(model.codes.signs, (-1, 1)).all()
     assert model.codes.signs.shape == (4, 4)
     assert model.proj.shape == (4, tiny_ds.c)
+
+
+def test_train_rejects_a_split_for_another_dataset_size(tiny_ds, desk_cfg):
+    for n in (tiny_ds.n - 1, tiny_ds.n + 1):
+        split = make_split(n, 10, 40, seed=2)
+        with pytest.raises(ContractError, match=f"dataset of {n} items, not {tiny_ds.n}"):
+            train_task(tiny_ds, split, desk_cfg, HyperParams(*DESK_HP, task="i2t"))
 
 
 def test_train_objective_decreases(trained_i2t):
@@ -225,8 +232,8 @@ def test_train_substeps_only_when_tracked(tiny_ds, tiny_split, desk_cfg, trained
 
 
 def test_train_divergence_reports_epoch_and_step(tiny_ds, tiny_split):
-    cfg = TrainConfig(bits=8, epochs=50, lr_image=0.1, lr_text=0.1,
-                      seed=0, full_batch=True, hidden_dim=32)
+    cfg = TrainConfig(bits=8, epochs=50, batch_size=40, lr_image=0.1, lr_text=0.1,
+                      seed=0, hidden_dim=32)
     hp = HyperParams(0.1, 0.01, 1e-4, 0.1, task="i2t")
     with pytest.raises(NumericalError, match=r"epoch \d+, (image|text) sweep"):
         train_task(tiny_ds, tiny_split, cfg, hp)
@@ -235,8 +242,8 @@ def test_train_divergence_reports_epoch_and_step(tiny_ds, tiny_split):
 def test_train_early_stop_cuts_epoch_budget(tiny_ds, tiny_split, monkeypatch):
     monkeypatch.setattr(training, "EARLY_STOP_TOL", 1.0)
     monkeypatch.setattr(training, "EARLY_STOP_PATIENCE", 2)
-    cfg = TrainConfig(bits=8, epochs=40, lr_image=1e-6, lr_text=1e-6,
-                      seed=0, full_batch=True, hidden_dim=16, early_stop=True)
+    cfg = TrainConfig(bits=8, epochs=40, batch_size=40, lr_image=1e-6, lr_text=1e-6,
+                      seed=0, hidden_dim=16, early_stop=True)
     model = train_task(tiny_ds, tiny_split, cfg, HyperParams(*DESK_HP, task="i2t"))
     assert len(model.train_log) < 40
 
@@ -437,6 +444,16 @@ def test_model_load_rejects_negative_weight(tmp_path, trained_i2t):
     payload[20:28] = np.array(-1.0, dtype="<f8").tobytes()  # quant_image, the first f64
     path.write_bytes(bytes(payload))
     with pytest.raises(LoadError, match="hyperparameters invalid"):
+        load_model(path)
+
+
+def test_model_load_rejects_non_finite_encoder_weight(tmp_path, trained_i2t):
+    path = save_model(trained_i2t, tmp_path / "m.model")
+    payload = bytearray(path.read_bytes())
+    # header 52 bytes, layer count 4, first layer header 9: its first weight
+    payload[65:73] = np.array(np.nan, dtype="<f8").tobytes()
+    path.write_bytes(bytes(payload))
+    with pytest.raises(LoadError, match="encoder invalid: layer 0: non-finite parameters"):
         load_model(path)
 
 
