@@ -51,10 +51,6 @@ def evaluate(index: RetrievalIndex, query_codes: CodeMatrix,
     ks must be strictly increasing and within [1, n_db]; an empty ks means
     mAP only. query_labels is (c, n_query) aligned with query_codes columns.
     """
-    if query_codes.r != index.codes.r:
-        raise ContractError(
-            f"query codes have r={query_codes.r} but database has r={index.codes.r}"
-        )
     query_labels = np.asarray(query_labels)
     if query_labels.shape != (index.labels.shape[0], query_codes.n):
         raise ContractError(
@@ -79,7 +75,7 @@ def evaluate(index: RetrievalIndex, query_codes: CodeMatrix,
         pos = [np.flatnonzero(rel.take(row_order)) for rel, row_order in zip(related, order)]
         return [_ap(p, counts) for p in pos], [np.searchsorted(p, ks_arr) for p in pos]
 
-    tiles = rank_tiles(score, index, query_codes.packed)
+    tiles = rank_tiles(score, index, query_codes)
     ap = np.array([a for aps, _ in tiles for a in aps])
     prec_sum = np.zeros(len(ks))
     for _, hits in tiles:

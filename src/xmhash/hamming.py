@@ -143,31 +143,34 @@ def distances_to_all(packed_db: np.ndarray, query: np.ndarray) -> np.ndarray:
     return dists if query.ndim == 2 else dists[0]
 
 
-def rank_tiles(fn, index: "RetrievalIndex", query_packed: np.ndarray) -> list:
-    """Rank the whole database for each packed query, one tile at a time,
+def rank_tiles(fn, index: "RetrievalIndex", queries: CodeMatrix) -> list:
+    """Rank the whole database for each query code, one tile at a time,
     and return [fn(rows, order, dists) for each tile] in query order.
 
-    query_packed is (n_query, words). A tile holds at most TILE_ENTRIES
-    query x database entries (one query at least): rows is the slice of
-    query rows in it, order the (B, n_db) index positions of each query's
-    ranking in (distance, id) order, dists the (B, n_db) distances in index
-    order. The scan runs over the database in id order, so one stable sort
-    by distance gives exactly that order. From FORK_ENTRIES entries and two
-    tiles on, a forked child maps the last half of the tiles (rounded up)
-    while this process maps the rest; its results come back pickled, and
-    an exception it raises is raised here.
+    The queries must have the database's code length. A tile holds at most
+    TILE_ENTRIES query x database entries (one query at least): rows is the
+    slice of query rows in it, order the (B, n_db) index positions of each
+    query's ranking in (distance, id) order, dists the (B, n_db) distances
+    in index order. The scan runs over the database in id order, so one
+    stable sort by distance gives exactly that order. From FORK_ENTRIES
+    entries and two tiles on, a forked child maps the last half of the tiles
+    (rounded up) while this process maps the rest; its results come back
+    pickled, and an exception it raises is raised here.
     """
+    if queries.r != index.codes.r:
+        raise ContractError(
+            f"query codes have r={queries.r} but database has r={index.codes.r}"
+        )
     ids = index.ids
     by_id = None if np.all(ids[:-1] <= ids[1:]) else np.argsort(ids, kind="stable")
     packed = index.codes.packed if by_id is None else index.codes.packed[by_id]
-    queries = np.asarray(query_packed, dtype=np.uint64)
-    n_query, step = queries.shape[0], max(1, TILE_ENTRIES // index.codes.n)
+    n_query, step = queries.n, max(1, TILE_ENTRIES // index.codes.n)
 
     def part(start, stop):
         tiles = []
         for lo in range(start, stop, step):
             rows = slice(lo, min(lo + step, stop))
-            dists = distances_to_all(packed, queries[rows])
+            dists = distances_to_all(packed, queries.packed[rows])
             order = np.argsort(dists, axis=1, kind="stable")
             if by_id is not None:
                 order = by_id[order]
@@ -204,7 +207,7 @@ def retrieve(index: "RetrievalIndex", query_codes: "CodeMatrix", query_ids,
         return "\n".join(f"{qid},{rank},{i},{d}"
                          for qid, ids, ds in zip(query_ids[rows].tolist(), hit_ids, hit_dists)
                          for rank, (i, d) in enumerate(zip(ids, ds), start=1))
-    return rank_tiles(lines, index, query_codes.packed)
+    return rank_tiles(lines, index, query_codes)
 
 
 @dataclass(frozen=True)

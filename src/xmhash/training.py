@@ -56,15 +56,6 @@ class TrainLogRow(NamedTuple):
     seconds: float
 
 
-class SubstepRow(NamedTuple):
-    """Objective right after each in-epoch block, for monotonicity checks."""
-
-    epoch: int
-    after_sweeps: float
-    after_codes: float
-    after_proj: float
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     bits: int = 16
@@ -76,7 +67,6 @@ class TrainConfig:
     seed: int = 0
     hidden_dim: int = 512
     early_stop: bool = False
-    track_substeps: bool = False
 
     def __post_init__(self) -> None:
         if self.bits < 1:
@@ -111,7 +101,6 @@ class TaskModel:
     codes: CodeMatrix           # columns follow split.train_ids order
     hp: HyperParams
     train_log: tuple            # TrainLogRow per completed epoch
-    substeps: tuple = ()        # SubstepRow per epoch when tracked (not persisted)
 
     @property
     def r(self) -> int:
@@ -189,10 +178,13 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
     Deterministic for fixed (cfg, hp, dataset, split): all randomness flows
     from cfg.seed through fixed offsets (batch order, encoder inits, code
     init, projection init). Each argument was checked when built; here only
-    that the split indexes a dataset of ds's size.
+    that the split indexes a dataset of ds's size and that a quantization
+    weight is positive, without which no code update is defined.
     """
     if split.n != ds.n:
         raise ContractError(f"split is for a dataset of {split.n} items, not {ds.n}")
+    if hp.quant_image + hp.quant_text == 0:
+        raise ContractError("training needs quant_image + quant_text > 0")
 
     train_ids = np.asarray(split.train_ids, dtype=np.int64)
     n = train_ids.size
@@ -213,8 +205,6 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
     uses_proj = hp.label_weight > 0
     code_rng = np.random.default_rng(cfg.seed + 3)
     if cfg.variant == "v3":
-        if hp.quant_image + hp.quant_text <= 0:
-            raise ContractError("v3 needs quant_image + quant_text > 0")
         codes = _relaxed_codes(*blocks, hp)
     else:
         codes = (code_rng.integers(0, 2, size=(r, n)) * 2 - 1).astype(np.float64)
@@ -226,7 +216,6 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
     batch_size = min(cfg.batch_size, n)
 
     log: list[TrainLogRow] = []
-    substeps: list[SubstepRow] = []
     prev_obj = None
     stall = 0
 
@@ -264,9 +253,6 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
         for side in (0, 1):
             sweep(epoch, side)
 
-        if cfg.track_substeps:
-            after_sweeps = objective(epoch)
-
         if cfg.variant == "v3":
             state.codes = _relaxed_codes(*state.feats, hp)
         else:
@@ -276,9 +262,6 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
                 "code update", epoch, update_codes, *state.feats, hp, shift,
             ).signs.astype(np.float64)
 
-        if cfg.track_substeps:
-            after_codes = objective(epoch)
-
         if uses_proj:
             state.proj = guarded(
                 "projection update", epoch, update_projection,
@@ -286,8 +269,6 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
             )
 
         obj = objective(epoch)
-        if cfg.track_substeps:
-            substeps.append(SubstepRow(epoch, after_sweeps, after_codes, obj))
         log.append(TrainLogRow(epoch, obj, time.perf_counter() - tic))
 
         if cfg.early_stop and prev_obj is not None:
@@ -306,7 +287,6 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
         codes=CodeMatrix.from_real(state.codes),  # v3's real codes; +/-1 stay as they are
         hp=hp,
         train_log=tuple(log),
-        substeps=tuple(substeps),
     )
 
 

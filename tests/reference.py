@@ -18,7 +18,7 @@ import numpy as np
 
 from xmhash.errors import ContractError
 from xmhash.evaluation import _ap
-from xmhash.hamming import rank_tiles
+from xmhash.hamming import CodeMatrix, rank_tiles
 from xmhash.training import train_task
 
 ALPHA = 0.05
@@ -76,8 +76,8 @@ def topk(db, query_packed: np.ndarray, k: int) -> np.ndarray:
     """Ids of the k nearest database items; ties broken by ascending id."""
     if not (1 <= k <= db.codes.n):
         raise ContractError(f"k must be in [1, {db.codes.n}], got {k}")
-    [order] = rank_tiles(lambda rows, order, dists: order, db,
-                         np.asarray(query_packed).reshape(1, -1))
+    query = CodeMatrix(np.asarray(query_packed, dtype=np.uint64).reshape(1, -1), db.codes.r)
+    [order] = rank_tiles(lambda rows, order, dists: order, db, query)
     return db.ids[order[0, :k]]
 
 

@@ -145,6 +145,24 @@ def test_train_rejects_malformed_hp(data_dir, tmp_path):
     assert exc.value.code == 2
 
 
+# one non-numeric value per argument parser: integer, float, learning rate, cutoff list
+NON_NUMERIC_ARGS = {
+    "--epochs": (["train", "--epochs", "many"], "not an integer: 'many'"),
+    "--tol": (["gradcheck", "--tol", "tight"], "not a number: 'tight'"),
+    "--lr-text": (["train", "--lr-text", "fast"], "not a number: 'fast'"),
+    "--ks": (["eval", "--ks", "1,ten"], "not a comma-separated int list: '1,ten'"),
+}
+
+
+@pytest.mark.parametrize("flag", NON_NUMERIC_ARGS)
+def test_non_numeric_value_is_usage_error(flag, capsys):
+    argv, message = NON_NUMERIC_ARGS[flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["synth", "train", "gradcheck"])
 def test_negative_seed_is_usage_error(command, tmp_path):
     argv = {

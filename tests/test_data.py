@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from reference import PLAIN_IDS, overlap_block, pair, similarity, synth_labels
 from xmhash import data
 from xmhash.data import (
+    MANIFEST_NAME,
     SPLIT_FILES,
     MultiModalDataset,
     PairwiseSimilarity,
@@ -372,6 +373,34 @@ def test_load_rejects_bad_dtype_tag(tmp_path, tiny_ds):
     manifest.write_text(json.dumps(payload))
     with pytest.raises(LoadError, match="dtype"):
         load_dataset(tmp_path)
+
+
+# each case rewrites one field of tiny_ds's files (n=60, d_x=8, d_y=12, c=3)
+DATASET_FIELD_ERRORS = {
+    "manifest a list": (MANIFEST_NAME, lambda b: b"[]\n", "manifest must be a JSON object"),
+    "column-major layout": (MANIFEST_NAME,
+                            lambda b: b.replace(b'"row_major"', b'"column_major"'),
+                            "unsupported layout 'column_major', expected 'row_major'"),
+    "d_y = 0": (MANIFEST_NAME, lambda b: b.replace(b'"d_y": 12', b'"d_y": 0'),
+                "manifest dims must be positive, got n=60 d_x=8 d_y=0 c=3"),
+    "NaN text feature": ("text.f32",
+                         lambda b: np.array(np.nan, dtype="<f4").tobytes() + b[4:],
+                         "dataset blobs violate invariants: "
+                         "text features contain non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("case", DATASET_FIELD_ERRORS)
+def test_load_names_a_corrupt_field(tmp_path, tiny_ds, case):
+    save_dataset(tiny_ds, tmp_path)
+    name, corrupt, message = DATASET_FIELD_ERRORS[case]
+    payload = (tmp_path / name).read_bytes()
+    bad = corrupt(payload)
+    assert bad != payload
+    (tmp_path / name).write_bytes(bad)
+    with pytest.raises(LoadError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == message
 
 
 def test_load_rejects_non_binary_label_blob(tmp_path, tiny_ds):

@@ -9,7 +9,7 @@ from xmhash import hamming
 from xmhash.errors import ContractError
 from xmhash.evaluation import emit_csv, evaluate
 from xmhash.fork import Forked
-from xmhash.hamming import CodeMatrix, RetrievalIndex, distances_to_all, pack_signs
+from xmhash.hamming import CodeMatrix, RetrievalIndex, distances_to_all
 
 
 def random_signs(rng, r, n):

@@ -1,7 +1,6 @@
 """The finite-difference suite itself: it must pass on correct gradients and
 catch planted wrong ones."""
 
-import numpy as np
 import pytest
 
 from xmhash.errors import ContractError

@@ -13,6 +13,7 @@ from reference import hamming_distance, topk
 from xmhash import hamming
 from xmhash.data import MultiModalDataset, SplitSpec, make_split, synth
 from xmhash.errors import ContractError, LoadError
+from xmhash.evaluation import evaluate
 from xmhash.hamming import (
     CodeMatrix,
     RetrievalIndex,
@@ -236,7 +237,8 @@ def test_distances_to_all_dtype_holds_every_distance():
 def ranked_ids_and_dists(index, q_packed):
     """Ids and distances in rank order, concatenated over the ranker's tiles."""
     ids, dists, seen = [], [], 0
-    for rows, order, d in rank_tiles(lambda *tile: tile, index, q_packed):
+    queries = CodeMatrix(q_packed, index.codes.r)
+    for rows, order, d in rank_tiles(lambda *tile: tile, index, queries):
         assert rows.start == seen and order.shape == (rows.stop - rows.start, index.codes.n)
         assert np.array_equal(d, distances_to_all(index.codes.packed, q_packed[rows]))
         seen = rows.stop
@@ -272,8 +274,20 @@ def test_ranked_tile_is_at_least_one_row(monkeypatch):
     monkeypatch.setattr(hamming, "TILE_ENTRIES", 1)
     rng = np.random.default_rng(15)
     index = make_index(random_signs(rng, 8, 6))
-    tiles = rank_tiles(lambda *tile: tile, index, pack_signs(random_signs(rng, 8, 3)))
+    tiles = rank_tiles(lambda *tile: tile, index, CodeMatrix.from_signs(random_signs(rng, 8, 3)))
     assert [t[0] for t in tiles] == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+
+def test_ranking_rejects_queries_of_another_code_length():
+    # r = 8 and r = 16 both pack into one word, so only the length tells them apart
+    rng = np.random.default_rng(16)
+    index = make_index(random_signs(rng, 16, 6))
+    queries = CodeMatrix.from_signs(random_signs(rng, 8, 3))
+    message = "query codes have r=8 but database has r=16"
+    with pytest.raises(ContractError, match=message):
+        hamming.retrieve(index, queries, np.arange(3), 2)
+    with pytest.raises(ContractError, match=message):
+        evaluate(index, queries, index.labels[:, :3])
 
 
 # --- topk --------------------------------------------------------------------------
@@ -560,6 +574,27 @@ def test_code_file_rejects_nonzero_padding(tmp_path):
     path.write_bytes(bytes(payload))
     with pytest.raises(LoadError, match="padding"):
         read_codes(path)
+
+
+# each case rewrites the header of an r = 16, n = 4 code file
+CODE_HEADER_ERRORS = {
+    "8 bytes": (lambda payload: payload[:8], "code file too short for its header: {path}"),
+    "r = 0": (lambda payload: (0).to_bytes(4, "little") + payload[4:],
+              "code file header has bad dims r=0 n=4"),
+    "n = 0": (lambda payload: payload[:4] + (0).to_bytes(4, "little") + payload[8:],
+              "code file header has bad dims r=16 n=0"),
+}
+
+
+@pytest.mark.parametrize("case", CODE_HEADER_ERRORS)
+def test_code_file_names_a_corrupt_header(tmp_path, case):
+    rng = np.random.default_rng(14)
+    path = write_codes(CodeMatrix.from_signs(random_signs(rng, 16, 4)), tmp_path / "x.codes")
+    corrupt, message = CODE_HEADER_ERRORS[case]
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(LoadError) as exc:
+        read_codes(path)
+    assert str(exc.value) == message.format(path=path)
 
 
 def test_code_file_rejects_missing(tmp_path):

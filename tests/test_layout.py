@@ -7,13 +7,16 @@ defined there is referenced somewhere in those modules: a method only as
 an attribute (x.name), so that a local variable of the same name does not
 count as its caller. The second asserts that one function maps a
 retrieval direction to its query side, so no other code compares a
-direction name.
+direction name. The third asserts that no module under src/ or tests/
+imports a name it never reads (__init__.py aside: its imports are its
+re-exports).
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "xmhash"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "xmhash"
 
 # read_codes has no caller in src, yet it stays: it is the only reader of
 # the code files that `xmhash encode` writes
@@ -76,3 +79,24 @@ def test_only_query_side_compares_direction_names():
     stray = [f"{where} in {func}" for func, where in found if func != QUERY_SIDE]
     assert not stray, "direction name compared outside query_side: " + ", ".join(stray)
     assert [func for func, _ in found] == [QUERY_SIDE], found
+
+
+def _unread_imports(path):
+    """(place, name) of each name the module imports but never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(f"{path.name}:{line}", name) for name, line in imported.items()
+            if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = sorted(p for d in (SRC, TESTS) for p in d.glob("*.py") if p.name != "__init__.py")
+    assert len(paths) > 2, f"no modules under {SRC} or {TESTS}"
+    unread = [f"{where} {name}" for path in paths for where, name in _unread_imports(path)]
+    assert not unread, "imported but never read: " + ", ".join(unread)

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,7 +14,7 @@ import pytest
 from conftest import DESK_HP, child_env
 from reference import train_both
 from xmhash import training
-from xmhash.data import load_dataset, make_split, save_dataset, synth
+from xmhash.data import load_dataset, make_split, save_dataset
 from xmhash.errors import ContractError, LoadError, NumericalError
 from xmhash.hamming import encode_database, encode_queries
 from xmhash.mlp import forward
@@ -220,17 +221,6 @@ def test_train_tasks_differ(trained_i2t, trained_t2i):
     assert not np.array_equal(trained_i2t.proj, trained_t2i.proj)
 
 
-def test_train_substeps_only_when_tracked(tiny_ds, tiny_split, desk_cfg, trained_i2t):
-    assert trained_i2t.substeps == ()
-    from dataclasses import replace
-    cfg = replace(desk_cfg, epochs=2, track_substeps=True)
-    model = train_task(tiny_ds, tiny_split, cfg, HyperParams(*DESK_HP, task="i2t"))
-    assert len(model.substeps) == 2
-    for s in model.substeps:
-        assert s.after_codes <= s.after_sweeps + 1e-9
-        assert s.after_proj <= s.after_codes + 1e-9
-
-
 def test_train_divergence_reports_epoch_and_step(tiny_ds, tiny_split):
     cfg = TrainConfig(bits=8, epochs=50, batch_size=40, lr_image=0.1, lr_text=0.1,
                       seed=0, hidden_dim=32)
@@ -367,6 +357,18 @@ def test_v3_rejects_zero_quantization_weights(tiny_ds, tiny_split, desk_cfg):
         train_task(tiny_ds, tiny_split, cfg, HyperParams(0.0, 0.0, 0.1, 0.1, task="i2t"))
 
 
+@pytest.mark.parametrize("variant", training.VARIANTS)
+def test_zero_quantization_weights_rejected_before_any_sweep(
+        monkeypatch, tiny_ds, tiny_split, desk_cfg, variant):
+    def no_sweep(*args):
+        raise AssertionError("an encoder sweep ran")
+    monkeypatch.setattr(training, "feature_grad", no_sweep)
+    cfg = replace(desk_cfg, variant=variant)
+    with pytest.raises(ContractError,
+                       match=r"^training needs quant_image \+ quant_text > 0$"):
+        train_task(tiny_ds, tiny_split, cfg, HyperParams(0.0, 0.0, 0.1, 0.1, task="i2t"))
+
+
 # --- persistence ----------------------------------------------------------------------
 
 def test_model_round_trip(tmp_path, trained_i2t):
@@ -460,3 +462,53 @@ def test_model_load_rejects_non_finite_encoder_weight(tmp_path, trained_i2t):
 def test_model_load_rejects_missing_file(tmp_path):
     with pytest.raises(LoadError, match="not found"):
         load_model(tmp_path / "ghost.model")
+
+
+def model_fields(model):
+    """Offset and struct format of each model-file field the cases below
+    write: a 52-byte header, then each encoder as a u32 layer count and
+    per layer a 9-byte header, weights and bias, then projection and codes."""
+    def encoder_bytes(layers):
+        return sum(9 + 8 * (layer.out_dim * layer.in_dim + layer.out_dim) for layer in layers)
+    img, txt = model.image_encoder.layers, model.text_encoder.layers
+    proj = 52 + 4 + encoder_bytes(img) + 4 + encoder_bytes(txt)
+    return {"task tag": (6, "<B"), "variant tag": (7, "<B"), "r": (8, "<I"), "c": (12, "<I"),
+            "image layer count": (52, "<I"), "image layer 0 activation": (64, "<B"),
+            "image last activation": (56 + encoder_bytes(img[:-1]) + 8, "<B"),
+            "projection[0, 0]": (proj, "<d"), "code[0, 0]": (proj + 8 * model.proj.size, "<b")}
+
+
+# each case writes its fields into the trained_i2t file (r=8, c=3, n=40)
+MODEL_FIELD_ERRORS = {
+    "no layers": ({"image layer count": 0}, "model file has implausible layer count 0"),
+    "65 layers": ({"image layer count": 65}, "model file has implausible layer count 65"),
+    "activation tag 2": ({"image layer 0 activation": 2},
+                         "model file has a malformed layer header"),
+    "relu output layer": ({"image last activation": 1}, "model file encoder invalid: "
+                          "final layer must use the identity activation"),
+    "task tag 2": ({"task tag": 2}, "model file has unknown task or variant tag"),
+    "variant tag 4": ({"variant tag": 4}, "model file has unknown task or variant tag"),
+    "r = 0": ({"r": 0}, "model file has bad dims r=0 c=3 n=40"),
+    "code byte 0": ({"code[0, 0]": 0}, "model file code block has entries other than +/-1"),
+    # 4 * (8 * 11 + 40) == 8 * (8 * 3 + 40): every block keeps its size and the
+    # code block reads the last 160 of the 320 sign bytes, so only r disagrees
+    "r = 4 against 8-wide encoders": ({"r": 4, "c": 11},
+                                      "model file encoder output dims disagree with header"),
+    "NaN projection": ({"projection[0, 0]": np.nan},
+                       "model file projection has non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("case", MODEL_FIELD_ERRORS)
+def test_model_load_names_a_corrupt_field(tmp_path, trained_i2t, case):
+    path = save_model(trained_i2t, tmp_path / "m.model")
+    payload = bytearray(path.read_bytes())
+    fields = model_fields(trained_i2t)
+    writes, message = MODEL_FIELD_ERRORS[case]
+    for field, value in writes.items():
+        offset, fmt = fields[field]
+        struct.pack_into(fmt, payload, offset, value)
+    path.write_bytes(bytes(payload))
+    with pytest.raises(LoadError) as exc:
+        load_model(path)
+    assert str(exc.value) == message
