@@ -14,8 +14,7 @@ from .errors import ContractError, LoadError, NumericalError
 from .evaluation import EvalReport, emit_csv, evaluate
 from .gradcheck import run_suite
 from .hamming import (
-    CodeMatrix, RetrievalIndex, encode_database, encode_queries,
-    pack_signs, read_codes, unpack_codes, write_codes,
+    CodeMatrix, RetrievalIndex, encode_database, encode_queries, read_codes, write_codes,
 )
 from .mlp import Layer, MlpEncoder, backward, forward, glorot_mlp, sgd_step
 from .objective import (

@@ -4,7 +4,7 @@ A dataset couples three aligned blocks: image features (n x d_x), text
 features (n x d_y), and a binary label matrix (c x n). Two instances are
 similar when they share at least one label. The n x n similarity matrix is
 never materialized; consumers go through PairwiseSimilarity, which serves
-boolean row/column blocks computed on demand from packed label bytes.
+boolean row blocks computed on demand from packed label bytes.
 Features are float32 in memory, as on disk, and cast exactly to float64 where used.
 
 Disk layout of a dataset directory:
@@ -105,11 +105,10 @@ class PairwiseSimilarity:
         self._packed = np.packbits(labels.astype(bool), axis=0)
         self.n = labels.shape[1]
 
-    def overlap(self, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-        """Similarity sub-matrix for in-range row/column instance ids, as
-        bool of shape (len(rows), n_cols); cols=None means all instances."""
-        lc = self._packed if cols is None else self._packed[:, cols]
-        return label_overlap(self._packed[:, rows], lc)
+    def overlap(self, rows: np.ndarray) -> np.ndarray:
+        """Similarity rows of in-range instance ids against every instance,
+        as bool of shape (len(rows), n)."""
+        return label_overlap(self._packed[:, rows], self._packed)
 
 
 @dataclass(frozen=True)

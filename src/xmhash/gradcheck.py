@@ -10,9 +10,7 @@ objective:
   encoder chain       gradients pushed through forward/backward onto MLP
                       parameters, i.e. the whole train-step path.
 
-Errors are scaled by max(1, |analytic|, |numeric|) per entry. The gradient
-function (called with a side, as feature_grad is) is injectable so tests
-can prove the suite catches a planted error on one side.
+Errors are scaled by max(1, |analytic|, |numeric|) per entry.
 """
 
 import itertools
@@ -107,7 +105,7 @@ def _random_state(rng: np.random.Generator):
     return state, sim, batch
 
 
-def _check_feature_grads(state, sim, batch, hp, tag, tol, grad_fn):
+def _check_feature_grads(state, sim, batch, hp, tag, tol):
     out = []
 
     def eval_obj():
@@ -115,7 +113,7 @@ def _check_feature_grads(state, sim, batch, hp, tag, tol, grad_fn):
 
     # FD loops mutate live column views of the state entry by entry
     for side, (feats, symbol) in enumerate(zip(state.feats, ("dF", "dG"))):
-        analytic = grad_fn(state, hp, sim, batch, side)
+        analytic = feature_grad(state, hp, sim, batch, side)
         fd = np.zeros_like(analytic)
         for pos, col in enumerate(batch):
             fd[:, pos] = _fd_over(feats[:, col], eval_obj).ravel()
@@ -130,7 +128,7 @@ def _check_feature_grads(state, sim, batch, hp, tag, tol, grad_fn):
     return out
 
 
-def _check_encoder_chain(rng, state, sim, batch, hp, tag, tol, grad_fn):
+def _check_encoder_chain(rng, state, sim, batch, hp, tag, tol):
     """Verify dObjective/dParameters through forward + backward."""
     out = []
     r = state.image_feats.shape[0]
@@ -146,7 +144,7 @@ def _check_encoder_chain(rng, state, sim, batch, hp, tag, tol, grad_fn):
 
         block, tape = forward(enc, xb)
         feats_block[:, batch] = block
-        buffers = backward(enc, tape, grad_fn(state, hp, sim, batch, side))
+        buffers = backward(enc, tape, feature_grad(state, hp, sim, batch, side))
 
         worst_err, worst_at = -1.0, ""
         for k, layer in enumerate(enc.layers):
@@ -170,8 +168,7 @@ def _check_encoder_chain(rng, state, sim, batch, hp, tag, tol, grad_fn):
     return out
 
 
-def run_suite(trials: int = 50, seed: int = 0, tol: float = DEFAULT_TOL,
-              grad_fn=feature_grad) -> SuiteReport:
+def run_suite(trials: int = 50, seed: int = 0, tol: float = DEFAULT_TOL) -> SuiteReport:
     """Run the whole verification suite.
 
     Each trial draws a random state/batch, picks the next weight corner and
@@ -188,6 +185,6 @@ def run_suite(trials: int = 50, seed: int = 0, tol: float = DEFAULT_TOL,
         hp = HyperParams(*corner, task=task)
         state, sim, batch = _random_state(rng)
         tag = f"task={task} weights={corner} trial={t}"
-        results.extend(_check_feature_grads(state, sim, batch, hp, tag, tol, grad_fn))
-        results.extend(_check_encoder_chain(rng, state, sim, batch, hp, tag, tol, grad_fn))
+        results.extend(_check_feature_grads(state, sim, batch, hp, tag, tol))
+        results.extend(_check_encoder_chain(rng, state, sim, batch, hp, tag, tol))
     return SuiteReport(tuple(results), tol)

@@ -1,9 +1,10 @@
 """Binary codes, bit packing, Hamming ranking, and database encoding.
 
 A code block has one stored form: packed uint64 words (n rows, ceil(r/64)
-words per instance, little-endian within and across words), from which the
-(r, n) int8 sign matrix is unpacked on demand. Bit=1 encodes sign=+1; bits
-past r in the last word stay zero. sgn(0) maps to +1 everywhere.
+words per instance, little-endian within and across words). Values enter
+it one way, CodeMatrix.from_real (sgn, with sgn(0) = +1), and leave it one
+way, .signs, which unpacks the (r, n) int8 sign matrix on demand. Bit=1
+encodes sign=+1; bits past r in the last word stay zero.
 
 The on-disk code file is a 12-byte header (u32 code length, u32 instance
 count, u32 format version, little-endian) followed by the packed words,
@@ -50,41 +51,6 @@ ENCODE_ENTRIES = 2 ** 18
 assert sys.byteorder == "little"
 
 
-def pack_signs(signs: np.ndarray) -> np.ndarray:
-    """Pack an (r, n) +/-1 sign matrix into (n, ceil(r/64)) uint64 words."""
-    signs = np.asarray(signs)
-    if signs.ndim != 2:
-        raise ContractError(f"sign matrix must be 2-D, got ndim={signs.ndim}")
-    if not all_pm1(signs):
-        raise ContractError("sign matrix entries must be +/-1")
-    return _pack(signs > 0)
-
-
-def all_pm1(a: np.ndarray) -> bool:
-    """np.isin(a, (-1, 1)).all() at a twentieth of the cost."""
-    return bool((np.abs(a) == 1).all())
-
-
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """(r, n) bools, True for +1, as (n, ceil(r/64)) zero-padded uint64 words."""
-    packed_bytes = np.packbits(bits.T, axis=1, bitorder="little")
-    pad = (bits.shape[0] + 63) // 64 * 8 - packed_bytes.shape[1]
-    return np.ascontiguousarray(np.pad(packed_bytes, ((0, 0), (0, pad)))).view(np.uint64)
-
-
-def unpack_codes(packed: np.ndarray, r: int) -> np.ndarray:
-    """Inverse of pack_signs: (n, words) uint64 back to (r, n) int8 signs."""
-    packed = np.ascontiguousarray(np.asarray(packed, dtype=np.uint64))
-    if packed.ndim != 2:
-        raise ContractError(f"packed matrix must be 2-D, got ndim={packed.ndim}")
-    if packed.shape[1] != (r + 63) // 64:
-        raise ContractError(
-            f"packed width {packed.shape[1]} does not match r={r}"
-        )
-    bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")[:, :r]
-    return (bits.T.astype(np.int8) * 2 - 1)
-
-
 @dataclass(frozen=True)
 class CodeMatrix:
     """One code block as packed words, checked when built; signs are unpacked on demand."""
@@ -105,22 +71,22 @@ class CodeMatrix:
     @property
     def signs(self) -> np.ndarray:
         """The (r, n) int8 +/-1 sign matrix."""
-        return unpack_codes(self.packed, self.r)
-
-    @classmethod
-    def from_signs(cls, signs) -> "CodeMatrix":
-        signs = np.asarray(signs, dtype=np.int8)
-        return cls(pack_signs(signs), signs.shape[0])
+        packed = np.ascontiguousarray(self.packed, dtype=np.uint64)
+        bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")[:, :self.r]
+        return bits.T.astype(np.int8) * 2 - 1
 
     @classmethod
     def from_real(cls, values: np.ndarray) -> "CodeMatrix":
-        """Binarize real values; zero maps to +1."""
+        """Pack the signs of (r, n) real values; zero maps to +1."""
         values = np.asarray(values, dtype=np.float64)
         if not np.all(np.isfinite(values)):
             raise ContractError("cannot binarize non-finite values")
         if values.ndim != 2:
             raise ContractError(f"sign matrix must be 2-D, got ndim={values.ndim}")
-        return cls(_pack(values >= 0), values.shape[0])
+        packed_bytes = np.packbits(values.T >= 0, axis=1, bitorder="little")
+        pad = (values.shape[0] + 63) // 64 * 8 - packed_bytes.shape[1]
+        packed = np.ascontiguousarray(np.pad(packed_bytes, ((0, 0), (0, pad))))
+        return cls(packed.view(np.uint64), values.shape[0])
 
 
 def distances_to_all(packed_db: np.ndarray, query: np.ndarray) -> np.ndarray:

@@ -93,7 +93,6 @@ class TrainConfig:
 class TaskModel:
     """Everything needed to hash queries and databases for one direction."""
 
-    task: str
     variant: str
     image_encoder: MlpEncoder
     text_encoder: MlpEncoder
@@ -103,13 +102,18 @@ class TaskModel:
     train_log: tuple            # TrainLogRow per completed epoch
 
     @property
+    def task(self) -> str:
+        return self.hp.task
+
+    @property
     def r(self) -> int:
         return self.codes.r
 
 
 def update_codes(img_feats: np.ndarray, txt_feats: np.ndarray, hp: HyperParams,
-                 shift: np.ndarray | None = None) -> CodeMatrix:
-    """Exact minimizer of the quantization terms over +/-1 code matrices.
+                 shift: np.ndarray | None = None) -> np.ndarray:
+    """Exact minimizer of the quantization terms over +/-1 code matrices,
+    as the trainer's (r, n) float64 +/-1 block.
 
     Entrywise sign of quant_image * F + quant_text * G (+ optional shift,
     used by the v1 variant's projection term); zero maps to +1, which is an
@@ -130,7 +134,7 @@ def update_codes(img_feats: np.ndarray, txt_feats: np.ndarray, hp: HyperParams,
         m = m + shift
     if not np.all(np.isfinite(m)):
         raise NumericalError("code update saw non-finite embeddings")
-    return CodeMatrix.from_real(m)
+    return np.where(m >= 0, 1.0, -1.0)
 
 
 def update_projection(feats: np.ndarray, labels: np.ndarray,
@@ -258,9 +262,7 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
         else:
             shift = (hp.label_weight * (state.proj @ state.labels)
                      if cfg.variant == "v1" else None)
-            state.codes = guarded(
-                "code update", epoch, update_codes, *state.feats, hp, shift,
-            ).signs.astype(np.float64)
+            state.codes = guarded("code update", epoch, update_codes, *state.feats, hp, shift)
 
         if uses_proj:
             state.proj = guarded(
@@ -279,7 +281,6 @@ def train_task(ds: MultiModalDataset, split: SplitSpec, cfg: TrainConfig,
         prev_obj = obj
 
     return TaskModel(
-        task=hp.task,
         variant=cfg.variant,
         image_encoder=encs[0],
         text_encoder=encs[1],
@@ -403,10 +404,9 @@ def load_model(path) -> TaskModel:
     img_enc = _read_encoder(rd)
     txt_enc = _read_encoder(rd)
     proj = rd.array("<f8", r * c, (r, c))
-    try:
-        codes = CodeMatrix.from_signs(rd.array(np.int8, r * n, (r, n)))
-    except ContractError as exc:
-        raise LoadError("model file code block has entries other than +/-1") from exc
+    signs = rd.array(np.int8, r * n, (r, n))
+    if not (np.abs(signs) == 1).all():  # int8 -128 stays -128 under abs
+        raise LoadError("model file code block has entries other than +/-1")
     (n_rows,) = rd.unpack("<I")
     log = []
     for _ in range(n_rows):
@@ -423,12 +423,11 @@ def load_model(path) -> TaskModel:
     except ContractError as exc:
         raise LoadError(f"model file hyperparameters invalid: {exc}") from exc
     return TaskModel(
-        task=hp.task,
         variant=VARIANTS[variant_tag],
         image_encoder=img_enc,
         text_encoder=txt_enc,
         proj=proj,
-        codes=codes,
+        codes=CodeMatrix.from_real(signs),
         hp=hp,
         train_log=tuple(log),
     )

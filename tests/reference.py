@@ -2,9 +2,10 @@
 
 Each one does for a single item what the library does in bulk, or
 combines library calls the way a user would: the AP of one ranked
-relevance list, the Hamming distance of one code pair, the top-k ids of
-one query, the similarity of one instance pair, both retrieval directions
-trained one after the other, and a Welch test on two per-query AP lists.
+relevance list, the packed words of a sign matrix one bit at a time, the
+Hamming distance of one code pair, the top-k ids of one query, the
+similarity of one instance pair, both retrieval directions trained one
+after the other, and a Welch test on two per-query AP lists.
 Four more are the library's earlier kernels, kept as oracles: a
 similarity block as a float product of the labels, the pairwise likelihood
 with fresh temporaries per block, synth's label draw as one rng.choice per
@@ -58,6 +59,20 @@ def welch_t_test(ap_a, ap_b):
     dof = (sa + sb) ** 2 / (sa ** 2 / (a.size - 1) + sb ** 2 / (b.size - 1))
     p = 2.0 * float(stdtr(dof, -abs(t)))
     return float(t), p, int(p < ALPHA)
+
+
+def pack_oracle(signs) -> np.ndarray:
+    """An (r, n) +/-1 matrix as (n, ceil(r/64)) uint64 words, bit by bit:
+    bit k % 64 of an item's word k // 64 is 1 when its sign k is +1, and
+    the bits past r stay 0."""
+    signs = np.asarray(signs)
+    r, n = signs.shape
+    packed = np.zeros((n, (r + 63) // 64), dtype=np.uint64)
+    for j in range(n):
+        for k in range(r):
+            if signs[k, j] == 1:
+                packed[j, k // 64] |= np.uint64(1 << (k % 64))
+    return packed
 
 
 def hamming_distance(a: np.ndarray, b: np.ndarray, r: int) -> int:

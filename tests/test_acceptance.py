@@ -24,8 +24,7 @@ from xmhash.data import PairwiseSimilarity, make_split, synth
 from xmhash.evaluation import evaluate
 from xmhash.gradcheck import run_suite
 from xmhash.hamming import (
-    CodeMatrix, RetrievalIndex, distances_to_all, encode_database,
-    encode_queries, pack_signs,
+    CodeMatrix, RetrievalIndex, distances_to_all, encode_database, encode_queries,
 )
 from xmhash.objective import HyperParams, ObjectiveState, objective_value
 from xmhash.training import TrainConfig, train_task, update_codes, update_projection
@@ -106,7 +105,7 @@ def test_criterion_2_exact_subproblems(capsys):
         img = rng.standard_normal((r, n))
         txt = rng.standard_normal((r, n))
         hp = HyperParams(0.5 * (trial % 3) + 0.1, 0.3, 1e-4, 1e-3, task="i2t")
-        got = quant_cost(update_codes(img, txt, hp).signs, img, txt, hp)
+        got = quant_cost(update_codes(img, txt, hp), img, txt, hp)
         code_gap = max(code_gap, got - enumerate_best(img, txt, hp))
 
     grad_norm = 0.0
@@ -160,7 +159,7 @@ def watch_exact_blocks(monkeypatch, hp, sim):
     def codes_block(*args):
         before = value(states[-1])
         codes = update_codes(*args)
-        after = replace(states[-1], codes=codes.signs.astype(np.float64))
+        after = replace(states[-1], codes=codes)
         blocks["codes"].append((before, value(after)))
         return codes
 
@@ -233,11 +232,11 @@ def retrieval_grid():
     db_labels = ds.labels[:, split.retrieval_ids]
     q_labels = ds.labels[:, split.query_ids]
     rand_index = RetrievalIndex(
-        CodeMatrix.from_signs(random_signs(rng, 16, len(split.retrieval_ids))),
+        CodeMatrix.from_real(random_signs(rng, 16, len(split.retrieval_ids))),
         db_labels,
         np.asarray(split.retrieval_ids, dtype=np.int64),
     )
-    rand_queries = CodeMatrix.from_signs(random_signs(rng, 16, len(split.query_ids)))
+    rand_queries = CodeMatrix.from_real(random_signs(rng, 16, len(split.query_ids)))
     baseline_map = evaluate(rand_index, rand_queries, q_labels).map
     # analytic form of the same baseline: mean relevant fraction per query
     frac = float(np.mean(q_labels.astype(np.float64).T
@@ -325,9 +324,9 @@ def test_criterion_6_metric_oracles(capsys):
         db_labels[rng.integers(0, c, size=n_db), np.arange(n_db)] = 1
         q_labels = rng.integers(0, 2, size=(c, n_q)).astype(np.uint8)
         ids = rng.permutation(1000)[:n_db].astype(np.int64)
-        index = RetrievalIndex(CodeMatrix.from_signs(random_signs(rng, r, n_db)),
+        index = RetrievalIndex(CodeMatrix.from_real(random_signs(rng, r, n_db)),
                                db_labels, ids)
-        q_codes = CodeMatrix.from_signs(random_signs(rng, r, n_q))
+        q_codes = CodeMatrix.from_real(random_signs(rng, r, n_q))
         ks = (1, max(1, n_db // 2), n_db)
         report = evaluate(index, q_codes, q_labels, ks=ks)
         want_map, want_aps, rels = eval_oracle(index, q_codes, q_labels)
@@ -339,13 +338,13 @@ def test_criterion_6_metric_oracles(capsys):
     packed_exact = True
     for r in (1, 63, 64, 65, 128):
         signs = random_signs(rng, r, 40)
-        packed = pack_signs(signs)
+        packed = CodeMatrix.from_real(signs).packed
         for a in range(0, 40, 3):
             for b in range(1, 40, 3):
                 want = int(np.sum(signs[:, a] != signs[:, b]))
                 packed_exact &= hamming_distance(packed[a], packed[b], r) == want
         same = hamming_distance(packed[0], packed[0], r) == 0
-        flipped = CodeMatrix.from_signs(-signs)
+        flipped = CodeMatrix.from_real(-signs)
         allbits = hamming_distance(packed[0], flipped.packed[0], r) == r
         bulk = np.array_equal(
             distances_to_all(packed, packed[0]),

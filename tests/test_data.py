@@ -80,7 +80,7 @@ def test_pairwise_block_matches_pair():
     lab[0, lab.sum(axis=0) == 0] = 1
     sim = PairwiseSimilarity(lab)
     rows, cols = [1, 4], [0, 2, 5]
-    blk = sim.overlap(rows, cols)
+    blk = sim.overlap(rows)[:, cols]
     assert blk.shape == (2, 3) and blk.dtype == np.bool_
     for a, i in enumerate(rows):
         for b, j in enumerate(cols):
@@ -108,7 +108,9 @@ def test_pairwise_block_matches_float_product(data):
     ids = st.lists(st.integers(0, n - 1), max_size=12)
     rows = data.draw(ids, label="rows")
     cols = data.draw(st.none() | ids, label="cols")
-    blk = PairwiseSimilarity(lab).overlap(rows, cols)
+    blk = PairwiseSimilarity(lab).overlap(rows)
+    if cols is not None:
+        blk = blk[:, cols]
     assert blk.dtype == np.bool_
     assert np.array_equal(blk, overlap_block(lab, rows, cols))
 
@@ -489,3 +491,26 @@ def test_split_load_validates_against_dataset_size(tmp_path):
     save_split(split, tmp_path)
     with pytest.raises(LoadError):
         load_split(tmp_path, 10)
+
+
+# each case builds a dataset or split whose blocks have the wrong shape
+SHAPE_ERRORS = {
+    "1-D image features": (
+        lambda: MultiModalDataset("x", np.zeros(2), np.zeros((2, 3)), np.ones((1, 2), np.uint8)),
+        "feature blocks must be 2-D"),
+    "1-D labels": (
+        lambda: MultiModalDataset("x", np.zeros((2, 2)), np.zeros((2, 3)), np.ones(2, np.uint8)),
+        "label block must be 2-D"),
+    "no query ids": (lambda: SplitSpec(np.array([], np.int64), np.arange(1, 4), np.arange(1, 3), 4),
+                     "query ids must be a non-empty 1-D list"),
+    "2-D train ids": (lambda: SplitSpec(np.array([0]), np.arange(1, 4), np.array([[1, 2]]), 4),
+                      "train ids must be a non-empty 1-D list"),
+}
+
+
+@pytest.mark.parametrize("case", SHAPE_ERRORS)
+def test_construction_names_a_malformed_shape(case):
+    build, message = SHAPE_ERRORS[case]
+    with pytest.raises(ContractError) as exc:
+        build()
+    assert type(exc.value) is ContractError and str(exc.value) == message

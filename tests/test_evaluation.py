@@ -20,7 +20,7 @@ def random_index(rng, r, n_db, c):
     labels = rng.integers(0, 2, size=(c, n_db)).astype(np.uint8)
     labels[rng.integers(0, c, size=n_db), np.arange(n_db)] = 1
     return RetrievalIndex(
-        CodeMatrix.from_signs(random_signs(rng, r, n_db)),
+        CodeMatrix.from_real(random_signs(rng, r, n_db)),
         labels,
         np.arange(n_db, dtype=np.int64),
     )
@@ -121,7 +121,7 @@ def test_ap_rejects_bad_input():
 def test_evaluate_matches_brute_force_oracle():
     rng = np.random.default_rng(1)
     index = random_index(rng, 8, 30, 3)
-    q_codes = CodeMatrix.from_signs(random_signs(rng, 8, 5))
+    q_codes = CodeMatrix.from_real(random_signs(rng, 8, 5))
     q_labels = rng.integers(0, 2, size=(3, 5)).astype(np.uint8)
     q_labels[rng.integers(0, 3, size=5), np.arange(5)] = 1
     ks = (1, 3, 10, 30)
@@ -154,7 +154,7 @@ def test_evaluate_tiles_equal_per_query_lexsort(monkeypatch, n_query, r, k_cut):
     index = random_index(rng, r, n_db, c)
     # unsorted ids, so the tie order comes from ids, not storage
     index = RetrievalIndex(index.codes, index.labels, rng.permutation(100)[:n_db])
-    q_codes = CodeMatrix.from_signs(random_signs(rng, r, n_query))
+    q_codes = CodeMatrix.from_real(random_signs(rng, r, n_query))
     q_labels = rng.integers(0, 2, size=(c, n_query)).astype(np.uint8)
     ks = (1, 5, n_db) if k_cut is None else (k_cut, n_db)
     want_map, want_aps, want_curve = lexsort_evaluate(index, q_codes, q_labels, ks)
@@ -172,9 +172,9 @@ def test_evaluate_ties_break_by_database_id():
     # one has the smaller id, so it must rank first and give AP 1
     signs = np.array([[1, 1], [1, 1]], dtype=np.int8)
     labels = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-    index = RetrievalIndex(CodeMatrix.from_signs(signs), labels,
+    index = RetrievalIndex(CodeMatrix.from_real(signs), labels,
                            np.array([4, 9], dtype=np.int64))
-    q_codes = CodeMatrix.from_signs(np.array([[1], [1]], dtype=np.int8))
+    q_codes = CodeMatrix.from_real(np.array([[1], [1]], dtype=np.int8))
     report = evaluate(index, q_codes, np.array([[1], [0]], dtype=np.uint8), ks=(1,))
     assert report.map == 1.0
     assert report.topk_curve == ((1, 1.0),)
@@ -184,7 +184,7 @@ def test_evaluate_all_relevant_gives_map_one():
     rng = np.random.default_rng(2)
     index = random_index(rng, 8, 12, 2)
     index = RetrievalIndex(index.codes, np.ones((2, 12), dtype=np.uint8), index.ids)
-    q_codes = CodeMatrix.from_signs(random_signs(rng, 8, 3))
+    q_codes = CodeMatrix.from_real(random_signs(rng, 8, 3))
     q_labels = np.ones((2, 3), dtype=np.uint8)
     report = evaluate(index, q_codes, q_labels)
     assert report.map == 1.0
@@ -194,7 +194,7 @@ def test_evaluate_all_relevant_gives_map_one():
 def test_evaluate_map_is_mean_of_per_query_ap():
     rng = np.random.default_rng(3)
     index = random_index(rng, 16, 25, 3)
-    q_codes = CodeMatrix.from_signs(random_signs(rng, 16, 7))
+    q_codes = CodeMatrix.from_real(random_signs(rng, 16, 7))
     q_labels = rng.integers(0, 2, size=(3, 7)).astype(np.uint8)
     report = evaluate(index, q_codes, q_labels, ks=(5, 25))
     assert report.map == pytest.approx(report.per_query_ap.mean(), abs=1e-12)
@@ -204,10 +204,10 @@ def test_evaluate_map_is_mean_of_per_query_ap():
 def test_evaluate_validation_errors():
     rng = np.random.default_rng(5)
     index = random_index(rng, 8, 10, 2)
-    q_codes = CodeMatrix.from_signs(random_signs(rng, 8, 2))
+    q_codes = CodeMatrix.from_real(random_signs(rng, 8, 2))
     q_labels = np.ones((2, 2), dtype=np.uint8)
     with pytest.raises(ContractError, match="r=16"):
-        evaluate(index, CodeMatrix.from_signs(random_signs(rng, 16, 2)), q_labels)
+        evaluate(index, CodeMatrix.from_real(random_signs(rng, 16, 2)), q_labels)
     with pytest.raises(ContractError, match="query labels shape"):
         evaluate(index, q_codes, np.ones((3, 2), dtype=np.uint8))
     with pytest.raises(ContractError, match=r"k must lie"):
@@ -226,13 +226,13 @@ def test_evaluate_random_codes_map_matches_relevant_fraction():
     db_labels = np.zeros((c, n_db), dtype=np.uint8)
     db_labels[rng.integers(0, c, size=n_db), np.arange(n_db)] = 1
     index = RetrievalIndex(
-        CodeMatrix.from_signs(random_signs(rng, 16, n_db)),
+        CodeMatrix.from_real(random_signs(rng, 16, n_db)),
         db_labels,
         np.arange(n_db, dtype=np.int64),
     )
     q_labels = np.zeros((c, n_q), dtype=np.uint8)
     q_labels[rng.integers(0, c, size=n_q), np.arange(n_q)] = 1
-    q_codes = CodeMatrix.from_signs(random_signs(rng, 16, n_q))
+    q_codes = CodeMatrix.from_real(random_signs(rng, 16, n_q))
     report = evaluate(index, q_codes, q_labels)
     frac = float(np.mean(q_labels.astype(np.float64).T @ db_labels > 0))
     assert abs(report.map - frac) < 0.05
@@ -300,7 +300,7 @@ def test_welch_one_constant_side_is_fine():
 def small_report():
     rng = np.random.default_rng(9)
     index = random_index(rng, 8, 10, 2)
-    q_codes = CodeMatrix.from_signs(random_signs(rng, 8, 3))
+    q_codes = CodeMatrix.from_real(random_signs(rng, 8, 3))
     q_labels = rng.integers(0, 2, size=(2, 3)).astype(np.uint8)
     q_labels[0] = 1
     return evaluate(index, q_codes, q_labels, ks=(1, 2), task="t2i")
@@ -330,7 +330,7 @@ def test_emit_csv_is_deterministic(tmp_path):
 def test_emit_csv_empty_ks_writes_headers_only(tmp_path):
     rng = np.random.default_rng(10)
     index = random_index(rng, 8, 6, 2)
-    q_codes = CodeMatrix.from_signs(random_signs(rng, 8, 2))
+    q_codes = CodeMatrix.from_real(random_signs(rng, 8, 2))
     report = evaluate(index, q_codes, np.ones((2, 2), dtype=np.uint8), task="i2t")
     lines = emit_csv(report, tmp_path / "eval.csv").read_text().splitlines()
     assert len(lines) == 2

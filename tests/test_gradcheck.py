@@ -3,6 +3,7 @@ catch planted wrong ones."""
 
 import pytest
 
+from xmhash import gradcheck
 from xmhash.errors import ContractError
 from xmhash.gradcheck import DEFAULT_TOL, run_suite
 from xmhash.objective import feature_grad
@@ -41,12 +42,13 @@ def test_suite_report_lines_are_deterministic():
     assert all(line.startswith("ok  ") for line in a[:-1])
 
 
-def test_suite_catches_a_planted_sign_error():
+def test_suite_catches_a_planted_sign_error(monkeypatch):
     def wrong_image_grad(state, hp, sim, batch, side):
         grad = feature_grad(state, hp, sim, batch, side)
         return -grad if side == 0 else grad
 
-    report = run_suite(trials=4, seed=0, grad_fn=wrong_image_grad)
+    monkeypatch.setattr(gradcheck, "feature_grad", wrong_image_grad)
+    report = run_suite(trials=4, seed=0)
     assert not report.all_passed
     failing = [r for r in report.results if not r.passed]
     assert failing
@@ -57,12 +59,13 @@ def test_suite_catches_a_planted_sign_error():
     assert lines[-1].startswith("FAIL:")
 
 
-def test_suite_catches_a_planted_text_scale_error():
+def test_suite_catches_a_planted_text_scale_error(monkeypatch):
     def wrong_text_grad(state, hp, sim, batch, side):
         grad = feature_grad(state, hp, sim, batch, side)
         return 1.5 * grad if side == 1 else grad
 
-    report = run_suite(trials=4, seed=0, grad_fn=wrong_text_grad)
+    monkeypatch.setattr(gradcheck, "feature_grad", wrong_text_grad)
+    report = run_suite(trials=4, seed=0)
     assert not report.all_passed
     assert all("text" in r.name for r in report.results if not r.passed)
 

@@ -5,11 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from reference import hamming_distance, topk
+from reference import hamming_distance, pack_oracle, topk
 from xmhash import hamming
 from xmhash.data import MultiModalDataset, SplitSpec, make_split, synth
 from xmhash.errors import ContractError, LoadError
@@ -17,21 +14,18 @@ from xmhash.evaluation import evaluate
 from xmhash.hamming import (
     CodeMatrix,
     RetrievalIndex,
-    all_pm1,
     distances_to_all,
     encode_chunks,
     encode_database,
     encode_queries,
     encode_with,
-    pack_signs,
     rank_tiles,
     read_codes,
-    unpack_codes,
     write_codes,
 )
 from xmhash.mlp import Layer, MlpEncoder, forward, glorot_mlp
 from xmhash.objective import HyperParams
-from xmhash.training import TaskModel
+from xmhash.training import TaskModel, train_task
 
 PAD_BOUNDARY_LENGTHS = (1, 63, 64, 65, 128)
 
@@ -76,57 +70,27 @@ def constant_encoder(column):
 def test_pack_unpack_round_trip(r):
     rng = np.random.default_rng(r)
     signs = random_signs(rng, r, 9)
-    packed = pack_signs(signs)
-    assert packed.shape == (9, (r + 63) // 64)
-    assert np.array_equal(unpack_codes(packed, r), signs)
+    cm = CodeMatrix.from_real(signs)
+    assert np.array_equal(cm.packed, pack_oracle(signs))
+    assert np.array_equal(cm.signs, signs)
+    assert np.array_equal(CodeMatrix(pack_oracle(signs), r).signs, signs)
 
 
 @pytest.mark.parametrize("r", (1, 63, 65))
 def test_pack_pad_bits_are_zero(r):
     rng = np.random.default_rng(2 * r)
-    packed = pack_signs(random_signs(rng, r, 5))
+    signs = random_signs(rng, r, 5)
+    packed = CodeMatrix.from_real(signs).packed
     tail_bits = r % 64
     assert not np.any(packed[:, -1] >> np.uint64(tail_bits))
+    assert np.array_equal(packed, pack_oracle(signs))
 
 
 def test_pack_bit_convention_plus_one_is_one():
-    packed = pack_signs(np.array([[1], [-1], [1]], dtype=np.int8))
+    signs = np.array([[1], [-1], [1]], dtype=np.int8)
+    packed = CodeMatrix.from_real(signs).packed
     assert packed[0, 0] == 0b101
-
-
-def test_pack_rejects_non_sign_entries():
-    with pytest.raises(ContractError, match=r"\+/-1"):
-        pack_signs(np.array([[1, 0], [-1, 1]], dtype=np.int8))
-
-
-# per kind: its dtype, the +/-1 values it holds, and values to plant among them
-SIGN_LIKE_KINDS = (
-    (np.int8, [-1, 1], st.sampled_from([-128, -2, 0, 2, 127]) | st.integers(-128, 127)),
-    (np.int64, [-1, 1], st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)),
-    (np.uint8, [1], st.integers(0, 255)),
-    (np.float64, [-1.0, 1.0],
-     st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, np.nextafter(1.0, 2.0),
-                      np.nextafter(1.0, 0.0), np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0)])
-     | st.floats()),
-    (np.bool_, [True], st.booleans()),
-)
-
-
-@st.composite
-def sign_like(draw):
-    """A +/-1 array of one kind, with one planted value half of the time."""
-    dtype, signs, planted = draw(st.sampled_from(SIGN_LIKE_KINDS))
-    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=6))
-    a = np.array(draw(st.lists(st.sampled_from(signs), min_size=int(np.prod(shape)),
-                               max_size=int(np.prod(shape)))), dtype=dtype).reshape(shape)
-    if draw(st.booleans()):
-        a.flat[draw(st.integers(0, a.size - 1))] = draw(planted)
-    return a
-
-
-@given(sign_like())
-def test_all_pm1_equals_isin(a):
-    assert all_pm1(a) == bool(np.isin(a, (-1, 1)).all())
+    assert np.array_equal(packed, pack_oracle(signs))
 
 
 def test_code_matrix_from_real_zero_maps_to_plus_one():
@@ -141,14 +105,14 @@ def test_code_matrix_from_real_equals_from_signs(r):
     values[rng.random((r, 9)) < 0.3] = 0.0
     values[0, :3] = (0.0, -0.0, 0.0)
     cm = CodeMatrix.from_real(values)
-    want = CodeMatrix.from_signs(np.where(values >= 0, 1, -1))
-    assert cm.r == want.r == r
-    assert np.array_equal(cm.packed, want.packed)
-    assert np.array_equal(cm.signs, want.signs)
+    signs = np.where(values >= 0, 1, -1)
+    assert cm.r == r
+    assert np.array_equal(cm.packed, pack_oracle(signs))
+    assert np.array_equal(cm.signs, signs)
 
 
 def test_code_matrix_validate_detects_nonzero_padding():
-    cm = CodeMatrix.from_signs(np.array([[1, -1], [1, 1]], dtype=np.int8))
+    cm = CodeMatrix.from_real(np.array([[1, -1], [1, 1]], dtype=np.int8))
     with pytest.raises(ContractError, match="padding"):
         CodeMatrix(cm.packed | (np.uint64(1) << np.uint64(63)), cm.r)
     with pytest.raises(ContractError, match="does not fit r=65"):
@@ -156,7 +120,7 @@ def test_code_matrix_validate_detects_nonzero_padding():
 
 
 def test_retrieval_index_rejects_misaligned_labels_and_ids():
-    cm = CodeMatrix.from_signs(np.array([[1, -1], [1, 1]], dtype=np.int8))
+    cm = CodeMatrix.from_real(np.array([[1, -1], [1, 1]], dtype=np.int8))
     with pytest.raises(ContractError, match="misaligned"):
         RetrievalIndex(cm, np.ones((1, 3), dtype=np.uint8), np.arange(2))
     with pytest.raises(ContractError, match="misaligned"):
@@ -166,14 +130,14 @@ def test_retrieval_index_rejects_misaligned_labels_and_ids():
 # --- distances ------------------------------------------------------------------
 
 def test_hamming_hand_value():
-    a = CodeMatrix.from_signs(np.array([[1], [1], [-1], [-1]], dtype=np.int8))
-    b = CodeMatrix.from_signs(np.array([[1], [-1], [-1], [1]], dtype=np.int8))
+    a = CodeMatrix.from_real(np.array([[1], [1], [-1], [-1]], dtype=np.int8))
+    b = CodeMatrix.from_real(np.array([[1], [-1], [-1], [1]], dtype=np.int8))
     assert hamming_distance(a.packed[0], b.packed[0], 4) == 2
 
 
 def test_hamming_self_distance_zero():
     rng = np.random.default_rng(0)
-    cm = CodeMatrix.from_signs(random_signs(rng, 16, 1))
+    cm = CodeMatrix.from_real(random_signs(rng, 16, 1))
     assert hamming_distance(cm.packed[0], cm.packed[0], 16) == 0
 
 
@@ -181,7 +145,7 @@ def test_hamming_matches_elementwise_oracle_across_boundaries():
     rng = np.random.default_rng(1)
     for r in range(1, 131):
         signs = random_signs(rng, r, 2)
-        packed = pack_signs(signs)
+        packed = CodeMatrix.from_real(signs).packed
         expected = hamming_oracle(signs[:, 0], signs[:, 1])
         assert hamming_distance(packed[0], packed[1], r) == expected
 
@@ -194,7 +158,7 @@ def test_hamming_rejects_word_count_mismatch():
 def test_hamming_metric_axioms():
     rng = np.random.default_rng(2)
     signs = random_signs(rng, 24, 6)
-    packed = pack_signs(signs)
+    packed = CodeMatrix.from_real(signs).packed
     for a in range(6):
         for b in range(6):
             dab = hamming_distance(packed[a], packed[b], 24)
@@ -207,7 +171,7 @@ def test_hamming_metric_axioms():
 def test_distances_to_all_matches_pairwise():
     rng = np.random.default_rng(3)
     signs = random_signs(rng, 65, 7)
-    packed = pack_signs(signs)
+    packed = CodeMatrix.from_real(signs).packed
     q = packed[4]
     dists = distances_to_all(packed, q)
     for j in range(7):
@@ -217,8 +181,8 @@ def test_distances_to_all_matches_pairwise():
 def test_distances_to_all_block_equals_stacked_rows():
     rng = np.random.default_rng(14)
     for r in PAD_BOUNDARY_LENGTHS:
-        db = pack_signs(random_signs(rng, r, 11))
-        queries = pack_signs(random_signs(rng, r, 4))
+        db = CodeMatrix.from_real(random_signs(rng, r, 11)).packed
+        queries = CodeMatrix.from_real(random_signs(rng, r, 4)).packed
         block = distances_to_all(db, queries)
         assert block.shape == (4, 11)
         assert np.array_equal(block, np.stack([distances_to_all(db, q) for q in queries]))
@@ -227,8 +191,8 @@ def test_distances_to_all_block_equals_stacked_rows():
 def test_distances_to_all_dtype_holds_every_distance():
     # all bits differ: the widest distance must not wrap in the small dtype
     for r in (1, 64, 192, 193, 256):
-        signs = np.ones((r, 1), dtype=np.int8)
-        d = distances_to_all(pack_signs(signs), pack_signs(-signs)[0])
+        ones = CodeMatrix.from_real(np.ones((r, 1)))
+        d = distances_to_all(ones.packed, CodeMatrix.from_real(-np.ones((r, 1))).packed[0])
         assert d.tolist() == [r]
 
 
@@ -263,7 +227,7 @@ def test_ranked_matches_lexsort_oracle_across_tiles(monkeypatch, r, n_query, id_
     if id_order == "ascending":
         ids = np.sort(ids)
     index = make_index(random_signs(rng, r, n_db), ids=ids)
-    q_packed = pack_signs(random_signs(rng, r, n_query))
+    q_packed = CodeMatrix.from_real(random_signs(rng, r, n_query)).packed
     want_ids, want_dists = lexsort_oracle(index, q_packed)
     got_ids, got_dists = ranked_ids_and_dists(index, q_packed)
     assert np.array_equal(got_ids, want_ids)
@@ -274,7 +238,7 @@ def test_ranked_tile_is_at_least_one_row(monkeypatch):
     monkeypatch.setattr(hamming, "TILE_ENTRIES", 1)
     rng = np.random.default_rng(15)
     index = make_index(random_signs(rng, 8, 6))
-    tiles = rank_tiles(lambda *tile: tile, index, CodeMatrix.from_signs(random_signs(rng, 8, 3)))
+    tiles = rank_tiles(lambda *tile: tile, index, CodeMatrix.from_real(random_signs(rng, 8, 3)))
     assert [t[0] for t in tiles] == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
@@ -282,7 +246,7 @@ def test_ranking_rejects_queries_of_another_code_length():
     # r = 8 and r = 16 both pack into one word, so only the length tells them apart
     rng = np.random.default_rng(16)
     index = make_index(random_signs(rng, 16, 6))
-    queries = CodeMatrix.from_signs(random_signs(rng, 8, 3))
+    queries = CodeMatrix.from_real(random_signs(rng, 8, 3))
     message = "query codes have r=8 but database has r=16"
     with pytest.raises(ContractError, match=message):
         hamming.retrieve(index, queries, np.arange(3), 2)
@@ -293,7 +257,7 @@ def test_ranking_rejects_queries_of_another_code_length():
 # --- topk --------------------------------------------------------------------------
 
 def make_index(signs, ids=None):
-    cm = CodeMatrix.from_signs(signs)
+    cm = CodeMatrix.from_real(signs)
     n = cm.n
     labels = np.ones((1, n), dtype=np.uint8)
     if ids is None:
@@ -304,7 +268,7 @@ def make_index(signs, ids=None):
 def test_topk_full_ranking_is_permutation():
     rng = np.random.default_rng(4)
     index = make_index(random_signs(rng, 16, 20))
-    q = pack_signs(random_signs(rng, 16, 1))[0]
+    q = CodeMatrix.from_real(random_signs(rng, 16, 1)).packed[0]
     ranked = topk(index, q, 20)
     assert sorted(ranked.tolist()) == list(range(20))
 
@@ -315,7 +279,7 @@ def test_topk_exact_match_ranks_first():
     index = make_index(signs)
     # force uniqueness of the match by flipping the other columns' first bit
     target = signs[:, 3].copy()
-    q = pack_signs(target[:, None])[0]
+    q = CodeMatrix.from_real(target[:, None]).packed[0]
     dists = distances_to_all(index.codes.packed, q)
     if (dists == 0).sum() == 1:
         assert topk(index, q, 1)[0] == 3
@@ -325,7 +289,7 @@ def test_topk_breaks_ties_by_ascending_id():
     signs = np.array([[1, 1, -1], [1, 1, -1]], dtype=np.int8)
     # ids deliberately not in storage order
     index = make_index(signs, ids=[7, 2, 9])
-    q = pack_signs(np.array([[1], [1]], dtype=np.int8))[0]
+    q = CodeMatrix.from_real(np.array([[1], [1]], dtype=np.int8)).packed[0]
     # columns 0 and 1 both at distance 0: id 2 must precede id 7
     assert topk(index, q, 3).tolist() == [2, 7, 9]
 
@@ -336,14 +300,14 @@ def test_topk_matches_full_sort_oracle():
     ids = rng.permutation(50).astype(np.int64)
     index = make_index(signs, ids=ids)
     q_signs = random_signs(rng, 16, 1)
-    q = pack_signs(q_signs)[0]
+    q = CodeMatrix.from_real(q_signs).packed[0]
     assert topk(index, q, 50).tolist() == rank_oracle(signs, q_signs[:, 0], ids)
 
 
 def test_topk_rejects_out_of_range_k():
     rng = np.random.default_rng(7)
     index = make_index(random_signs(rng, 8, 5))
-    q = pack_signs(random_signs(rng, 8, 1))[0]
+    q = CodeMatrix.from_real(random_signs(rng, 8, 1)).packed[0]
     with pytest.raises(ContractError, match="k must"):
         topk(index, q, 0)
     with pytest.raises(ContractError, match="k must"):
@@ -367,7 +331,6 @@ def test_encode_with_zero_output_becomes_plus_one():
 def test_encode_with_peaks_below_three_hidden_blocks():
     # the tape holds layer inputs only, and bias and relu work in place, so
     # a (32, 64, 64) encoder needs about two (64, batch) float64 blocks
-    from xmhash.mlp import glorot_mlp
     enc = glorot_mlp((32, 64, 64), seed=10)
     feats = np.random.default_rng(11).standard_normal((20000, 32))
     block = 64 * feats.shape[0] * 8
@@ -444,9 +407,9 @@ def test_encode_database_memory_stays_flat_in_the_fresh_items():
     ds = MultiModalDataset("flat", rng.standard_normal((n, 16)),
                            rng.standard_normal((n, 32)), labels)
     split = SplitSpec(np.arange(1000), np.arange(1000, n), np.arange(1000, 1400), n)
-    model = TaskModel("i2t", "full", glorot_mlp((16, 64, 64), seed=21),
+    model = TaskModel("full", glorot_mlp((16, 64, 64), seed=21),
                       glorot_mlp((32, 64, 64), seed=22), np.zeros((64, 4)),
-                      CodeMatrix.from_signs(np.ones((64, 400))),
+                      CodeMatrix.from_real(np.ones((64, 400))),
                       HyperParams(0.1, 0.01, 1e-4, 1e-3, task="i2t"), ())
     tracemalloc.start()
     try:
@@ -459,7 +422,6 @@ def test_encode_database_memory_stays_flat_in_the_fresh_items():
 
 
 def test_encode_with_matches_forward_sign_oracle():
-    from xmhash.mlp import glorot_mlp
     enc = glorot_mlp((5, 4, 3), seed=8)
     rng = np.random.default_rng(9)
     feats = rng.standard_normal((6, 5))
@@ -504,15 +466,12 @@ def test_encode_database_follows_train_id_order(tiny_ds, tiny_split, trained_i2t
     split = SplitSpec(tiny_split.query_ids, tiny_split.retrieval_ids,
                       tiny_split.train_ids[perm], tiny_split.n)
     model = replace(trained_i2t,
-                    codes=CodeMatrix.from_signs(trained_i2t.codes.signs[:, perm]))
+                    codes=CodeMatrix.from_real(trained_i2t.codes.signs[:, perm]))
     want = encode_database(trained_i2t, tiny_ds, tiny_split)
     assert np.array_equal(encode_database(model, tiny_ds, split).codes.signs, want.codes.signs)
 
 
 def test_encode_database_train_equals_retrieval_reuses_codes(tiny_ds, desk_cfg):
-    from xmhash.data import make_split
-    from xmhash.objective import HyperParams
-    from xmhash.training import train_task
     split = make_split(tiny_ds.n, 10, 50, seed=4)
     assert np.array_equal(split.train_ids, split.retrieval_ids)
     hp = HyperParams(0.1, 0.01, 1e-4, 1e-3, task="i2t")
@@ -540,7 +499,7 @@ def test_encode_database_t2i_uses_image_encoder(tiny_ds, tiny_split, trained_t2i
 @pytest.mark.parametrize("r", PAD_BOUNDARY_LENGTHS)
 def test_code_file_round_trip(tmp_path, r):
     rng = np.random.default_rng(10 + r)
-    cm = CodeMatrix.from_signs(random_signs(rng, r, 6))
+    cm = CodeMatrix.from_real(random_signs(rng, r, 6))
     path = write_codes(cm, tmp_path / "x.codes")
     loaded = read_codes(path)
     assert loaded.r == r and loaded.n == 6
@@ -550,7 +509,7 @@ def test_code_file_round_trip(tmp_path, r):
 
 def test_code_file_rejects_truncation(tmp_path):
     rng = np.random.default_rng(11)
-    path = write_codes(CodeMatrix.from_signs(random_signs(rng, 16, 4)), tmp_path / "x.codes")
+    path = write_codes(CodeMatrix.from_real(random_signs(rng, 16, 4)), tmp_path / "x.codes")
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(LoadError, match="wrong size"):
         read_codes(path)
@@ -558,7 +517,7 @@ def test_code_file_rejects_truncation(tmp_path):
 
 def test_code_file_rejects_bad_version(tmp_path):
     rng = np.random.default_rng(12)
-    path = write_codes(CodeMatrix.from_signs(random_signs(rng, 8, 2)), tmp_path / "x.codes")
+    path = write_codes(CodeMatrix.from_real(random_signs(rng, 8, 2)), tmp_path / "x.codes")
     payload = bytearray(path.read_bytes())
     payload[8:12] = (9).to_bytes(4, "little")
     path.write_bytes(bytes(payload))
@@ -568,7 +527,7 @@ def test_code_file_rejects_bad_version(tmp_path):
 
 def test_code_file_rejects_nonzero_padding(tmp_path):
     rng = np.random.default_rng(13)
-    path = write_codes(CodeMatrix.from_signs(random_signs(rng, 5, 2)), tmp_path / "x.codes")
+    path = write_codes(CodeMatrix.from_real(random_signs(rng, 5, 2)), tmp_path / "x.codes")
     payload = bytearray(path.read_bytes())
     payload[12 + 7] |= 0x80  # set the top pad bit of instance 0's only word
     path.write_bytes(bytes(payload))
@@ -589,7 +548,7 @@ CODE_HEADER_ERRORS = {
 @pytest.mark.parametrize("case", CODE_HEADER_ERRORS)
 def test_code_file_names_a_corrupt_header(tmp_path, case):
     rng = np.random.default_rng(14)
-    path = write_codes(CodeMatrix.from_signs(random_signs(rng, 16, 4)), tmp_path / "x.codes")
+    path = write_codes(CodeMatrix.from_real(random_signs(rng, 16, 4)), tmp_path / "x.codes")
     corrupt, message = CODE_HEADER_ERRORS[case]
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(LoadError) as exc:
@@ -600,3 +559,24 @@ def test_code_file_names_a_corrupt_header(tmp_path, case):
 def test_code_file_rejects_missing(tmp_path):
     with pytest.raises(LoadError, match="not found"):
         read_codes(tmp_path / "nope.codes")
+
+
+# each case hands one hamming entry point a malformed block
+HAMMING_ERRORS = {
+    "NaN value": (lambda: CodeMatrix.from_real(np.array([[0.5, np.nan]])),
+                  "cannot binarize non-finite values"),
+    "1-D values": (lambda: CodeMatrix.from_real(np.ones(3)), "sign matrix must be 2-D, got ndim=1"),
+    "query of one word against two": (
+        lambda: distances_to_all(np.zeros((3, 2), np.uint64), np.zeros(1, np.uint64)),
+        "database words (3, 2) do not match query words 1"),
+    "1-D features": (lambda: encode_with(constant_encoder([1.0]), np.zeros(3)),
+                     "features must be 2-D (rows are instances)"),
+}
+
+
+@pytest.mark.parametrize("case", HAMMING_ERRORS)
+def test_hamming_names_a_malformed_block(case):
+    call, message = HAMMING_ERRORS[case]
+    with pytest.raises(ContractError) as exc:
+        call()
+    assert type(exc.value) is ContractError and str(exc.value) == message

@@ -9,7 +9,8 @@ count as its caller. The second asserts that one function maps a
 retrieval direction to its query side, so no other code compares a
 direction name. The third asserts that no module under src/ or tests/
 imports a name it never reads (__init__.py aside: its imports are its
-re-exports).
+re-exports), and the fourth that no function there imports a name again
+that its module already imports at the top.
 """
 
 import ast
@@ -81,14 +82,18 @@ def test_only_query_side_compares_direction_names():
     assert [func for func, _ in found] == [QUERY_SIDE], found
 
 
+def _imported_names(node):
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
 def _unread_imports(path):
     """(place, name) of each name the module imports but never reads."""
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+            for name in _imported_names(node):
+                imported.setdefault(name, node.lineno)
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return [(f"{path.name}:{line}", name) for name, line in imported.items()
@@ -100,3 +105,21 @@ def test_no_module_imports_a_name_it_never_reads():
     assert len(paths) > 2, f"no modules under {SRC} or {TESTS}"
     unread = [f"{where} {name}" for path in paths for where, name in _unread_imports(path)]
     assert not unread, "imported but never read: " + ", ".join(unread)
+
+
+def _nested_reimports(path):
+    """'place name' of each import below the top level (in a function, most
+    often) of a name that the module already imports at the top level."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    top = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = {name for node in top for name in _imported_names(node)}
+    return [f"{path.name}:{node.lineno} {name}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in top
+            for name in _imported_names(node) if name in names]
+
+
+def test_no_function_imports_a_name_its_module_already_imports():
+    paths = sorted(p for d in (SRC, TESTS) for p in d.glob("*.py"))
+    assert len(paths) > 2, f"no modules under {SRC} or {TESTS}"
+    again = [hit for path in paths for hit in _nested_reimports(path)]
+    assert not again, "imported again inside a function: " + ", ".join(again)

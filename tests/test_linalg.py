@@ -134,3 +134,20 @@ def test_training_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", TRAIN_PROBE], env=child_env("2"), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip().splitlines()[-1] == "[]"
+
+
+# each case plants one non-finite entry in a solver input
+NON_FINITE_INPUTS = {
+    "NaN right-hand side": (lambda: spd_solve(np.eye(2), np.array([[1.0, 2.0], [3.0, np.nan]])),
+                            "spd_solve right-hand side contains a non-finite entry (flat index 3)"),
+    "inf matrix": (lambda: cholesky_lower(np.array([[1.0, 0.0], [np.inf, 1.0]])),
+                   "cholesky input contains a non-finite entry (flat index 2)"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_INPUTS)
+def test_solver_names_the_first_non_finite_entry(case):
+    call, message = NON_FINITE_INPUTS[case]
+    with pytest.raises(NumericalError) as exc:
+        call()
+    assert type(exc.value) is NumericalError and str(exc.value) == message

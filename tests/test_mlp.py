@@ -256,3 +256,35 @@ def test_glorot_rejects_bad_dims():
         glorot_mlp((4,), seed=0)
     with pytest.raises(ContractError, match="dims"):
         glorot_mlp((4, 0, 2), seed=0)
+
+
+# each case calls forward, backward or sgd_step on a 3 -> 4 -> 2 encoder,
+# its tape for a 5-row batch and its gradients, with one part malformed
+MLP_ERRORS = {
+    "1-D batch": (lambda enc, tape, grads: forward(enc, np.ones(3)),
+                  "batch must be 2-D (rows are instances), got ndim=1"),
+    "tape one layer short": (lambda enc, tape, grads: backward(enc, tape[:1], np.ones((2, 5))),
+                             "tape does not match encoder depth"),
+    "tape input of another width": (
+        lambda enc, tape, grads: backward(enc, (tape[0][:2], tape[1]), np.ones((2, 5))),
+        "tape layer 0 input dim does not match encoder"),
+    "gradients one layer short": (
+        lambda enc, tape, grads: sgd_step(
+            enc, GradBuffer(grads.weight_grads[:1], grads.bias_grads[:1]), 0.1),
+        "gradient buffer does not match encoder depth"),
+    "transposed weight gradient": (
+        lambda enc, tape, grads: sgd_step(
+            enc, GradBuffer((grads.weight_grads[0].T, grads.weight_grads[1]), grads.bias_grads),
+            0.1),
+        "layer 0: gradient shapes do not match parameters"),
+}
+
+
+@pytest.mark.parametrize("case", MLP_ERRORS)
+def test_encoder_step_names_a_malformed_part(case):
+    enc = glorot_mlp((3, 4, 2), seed=0)
+    out, tape = forward(enc, np.ones((5, 3)))
+    call, message = MLP_ERRORS[case]
+    with pytest.raises(ContractError) as exc:
+        call(enc, tape, backward(enc, tape, np.ones_like(out)))
+    assert type(exc.value) is ContractError and str(exc.value) == message

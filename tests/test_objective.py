@@ -356,7 +356,7 @@ def pairwise_grad_oracle(own, other, sim, batch):
     for j0 in range(0, own.shape[1], _CHUNK):
         cols = np.arange(j0, min(j0 + _CHUNK, own.shape[1]))
         phi = 0.5 * own[:, batch].T @ other[:, cols]
-        out += 0.5 * other[:, cols] @ (expit(phi) - sim.overlap(batch, cols)).T
+        out += 0.5 * other[:, cols] @ (expit(phi) - sim.overlap(batch)[:, cols]).T
     return out
 
 
@@ -426,3 +426,27 @@ def test_hyperparams_reject_negative_weight():
 def test_hyperparams_reject_unknown_task():
     with pytest.raises(ContractError, match="task"):
         HyperParams(0.1, 0.1, 0.1, 0.1, task="sideways")
+
+
+def grad_with_infinite_code(state, sim):
+    state.codes[0, 0] = np.inf
+    return feature_grad(state, HyperParams(0.1, 0.1, 0.0, 0.0), sim, [0], 0)
+
+
+# each case asks for a gradient of a 5-item state that cannot have one
+GRAD_ERRORS = {
+    "oracle of 4 items": (
+        lambda state, sim: feature_grad(state, HyperParams(0.1, 0.1, 0.0, 0.0),
+                                        PairwiseSimilarity(np.ones((1, 4), np.uint8)), [0], 0),
+        ContractError, "similarity oracle covers 4 instances, state 5"),
+    "infinite code": (grad_with_infinite_code, NumericalError,
+                      "gradient contains non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("case", GRAD_ERRORS)
+def test_feature_grad_names_what_it_cannot_use(case):
+    call, error, message = GRAD_ERRORS[case]
+    with pytest.raises(error) as exc:
+        call(*random_state(0))
+    assert type(exc.value) is error and str(exc.value) == message

@@ -79,16 +79,17 @@ def assert_models_equal(a, b):
 def test_update_codes_hand_value():
     f = np.array([[0.3], [-0.2]])
     g = np.array([[-0.1], [0.5]])
-    cm = update_codes(f, g, HyperParams(1.0, 1.0, 0.0, 0.0))
-    assert np.array_equal(cm.signs, [[1], [1]])
+    b = update_codes(f, g, HyperParams(1.0, 1.0, 0.0, 0.0))
+    assert b.dtype == np.float64
+    assert np.array_equal(b, [[1.0], [1.0]])
 
 
 def test_update_codes_equal_blocks_reduce_to_sign():
     rng = np.random.default_rng(0)
     f = rng.standard_normal((3, 5))
     for qi, qt in ((1.0, 1.0), (0.2, 3.0), (5.0, 0.0)):
-        cm = update_codes(f, f, HyperParams(qi, qt, 0.0, 0.0))
-        assert np.array_equal(cm.signs, np.where(f >= 0, 1, -1))
+        b = update_codes(f, f, HyperParams(qi, qt, 0.0, 0.0))
+        assert np.array_equal(b, np.where(f >= 0, 1, -1))
 
 
 def test_update_codes_beats_exhaustive_enumeration():
@@ -97,8 +98,8 @@ def test_update_codes_beats_exhaustive_enumeration():
         f = rng.standard_normal((2, 2))
         g = rng.standard_normal((2, 2))
         qi, qt = rng.uniform(0.05, 2.0, size=2)
-        cm = update_codes(f, g, HyperParams(qi, qt, 0.0, 0.0))
-        cost = quant_cost(cm.signs.astype(float), f, g, qi, qt)
+        b = update_codes(f, g, HyperParams(qi, qt, 0.0, 0.0))
+        cost = quant_cost(b, f, g, qi, qt)
         _, best_cost = best_codes_by_enumeration(f, g, qi, qt)
         assert cost <= best_cost + 1e-12
 
@@ -108,7 +109,7 @@ def test_update_codes_no_single_flip_improves():
     f = rng.standard_normal((4, 6))
     g = rng.standard_normal((4, 6))
     qi, qt = 0.7, 0.3
-    b = update_codes(f, g, HyperParams(qi, qt, 0.0, 0.0)).signs.astype(float)
+    b = update_codes(f, g, HyperParams(qi, qt, 0.0, 0.0))
     base = quant_cost(b, f, g, qi, qt)
     for idx in np.ndindex(b.shape):
         flipped = b.copy()
@@ -122,12 +123,12 @@ def test_update_codes_scale_invariant():
     g = rng.standard_normal((3, 4))
     a = update_codes(f, g, HyperParams(0.4, 0.9, 0.0, 0.0))
     b = update_codes(f, g, HyperParams(0.4 * 7.5, 0.9 * 7.5, 0.0, 0.0))
-    assert np.array_equal(a.signs, b.signs)
+    assert np.array_equal(a, b)
 
 
 def test_update_codes_zero_maps_to_plus_one():
-    cm = update_codes(np.zeros((2, 2)), np.zeros((2, 2)), HyperParams(1.0, 1.0, 0.0, 0.0))
-    assert np.all(cm.signs == 1)
+    b = update_codes(np.zeros((2, 2)), np.zeros((2, 2)), HyperParams(1.0, 1.0, 0.0, 0.0))
+    assert np.all(b == 1)
 
 
 def test_update_codes_rejects_zero_weights():
@@ -300,7 +301,6 @@ def test_train_config_validation():
 # --- variants -----------------------------------------------------------------------
 
 def test_v2_ignores_label_content(tiny_ds, tiny_split, desk_cfg):
-    from dataclasses import replace
     from xmhash.data import MultiModalDataset
     cfg = replace(desk_cfg, epochs=3, variant="v2")
     hp = HyperParams(0.1, 0.01, 0.05, 1e-3, task="i2t")
@@ -314,7 +314,6 @@ def test_v2_ignores_label_content(tiny_ds, tiny_split, desk_cfg):
 
 
 def test_v1_with_zero_label_weight_matches_full(tiny_ds, tiny_split, desk_cfg):
-    from dataclasses import replace
     hp = HyperParams(0.1, 0.01, 0.0, 1e-3, task="i2t")
     full = train_task(tiny_ds, tiny_split, replace(desk_cfg, epochs=3), hp)
     v1 = train_task(tiny_ds, tiny_split, replace(desk_cfg, epochs=3, variant="v1"), hp)
@@ -324,7 +323,6 @@ def test_v1_with_zero_label_weight_matches_full(tiny_ds, tiny_split, desk_cfg):
 
 
 def test_v1_trains_with_code_regression(tiny_ds, tiny_split, desk_cfg):
-    from dataclasses import replace
     cfg = replace(desk_cfg, epochs=4, variant="v1")
     hp = HyperParams(0.1, 0.01, 0.05, 1e-3, task="i2t")
     model = train_task(tiny_ds, tiny_split, cfg, hp)
@@ -334,7 +332,6 @@ def test_v1_trains_with_code_regression(tiny_ds, tiny_split, desk_cfg):
 
 
 def test_v3_codes_are_binarized_once_at_the_end(tiny_ds, tiny_split, desk_cfg):
-    from dataclasses import replace
     cfg = replace(desk_cfg, epochs=3, variant="v3")
     hp = HyperParams(0.1, 0.1, 0.0, 1e-3, task="i2t")
     model = train_task(tiny_ds, tiny_split, cfg, hp)
@@ -351,7 +348,6 @@ def test_v3_codes_are_binarized_once_at_the_end(tiny_ds, tiny_split, desk_cfg):
 
 
 def test_v3_rejects_zero_quantization_weights(tiny_ds, tiny_split, desk_cfg):
-    from dataclasses import replace
     cfg = replace(desk_cfg, variant="v3")
     with pytest.raises(ContractError, match="quant"):
         train_task(tiny_ds, tiny_split, cfg, HyperParams(0.0, 0.0, 0.1, 0.1, task="i2t"))
@@ -490,6 +486,10 @@ MODEL_FIELD_ERRORS = {
     "variant tag 4": ({"variant tag": 4}, "model file has unknown task or variant tag"),
     "r = 0": ({"r": 0}, "model file has bad dims r=0 c=3 n=40"),
     "code byte 0": ({"code[0, 0]": 0}, "model file code block has entries other than +/-1"),
+    "code byte 2": ({"code[0, 0]": 2}, "model file code block has entries other than +/-1"),
+    # int8 -128, whose absolute value wraps to -128
+    "code byte 0x80": ({"code[0, 0]": -128},
+                       "model file code block has entries other than +/-1"),
     # 4 * (8 * 11 + 40) == 8 * (8 * 3 + 40): every block keeps its size and the
     # code block reads the last 160 of the 320 sign bytes, so only r disagrees
     "r = 4 against 8-wide encoders": ({"r": 4, "c": 11},
@@ -512,3 +512,28 @@ def test_model_load_names_a_corrupt_field(tmp_path, trained_i2t, case):
     with pytest.raises(LoadError) as exc:
         load_model(path)
     assert str(exc.value) == message
+
+
+# each case builds a config or runs a code update that cannot be done
+TRAINING_ERRORS = {
+    "batch size 0": (lambda: TrainConfig(batch_size=0), ContractError,
+                     "batch_size must be >= 1, got 0"),
+    "hidden width 0": (lambda: TrainConfig(hidden_dim=0), ContractError,
+                       "hidden_dim must be >= 1, got 0"),
+    "shift of another shape": (
+        lambda: update_codes(np.ones((2, 2)), np.ones((2, 2)), HyperParams(1.0, 1.0, 0.0, 0.0),
+                             np.ones((1, 2))),
+        ContractError, "shift shape (1, 2) does not match (2, 2)"),
+    "infinite embedding": (
+        lambda: update_codes(np.array([[np.inf, 0.0]]), np.zeros((1, 2)),
+                             HyperParams(1.0, 1.0, 0.0, 0.0)),
+        NumericalError, "code update saw non-finite embeddings"),
+}
+
+
+@pytest.mark.parametrize("case", TRAINING_ERRORS)
+def test_training_names_what_it_cannot_do(case):
+    call, error, message = TRAINING_ERRORS[case]
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
